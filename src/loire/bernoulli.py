@@ -57,8 +57,10 @@ class BemSolution:
 
 
 def default_zero_tol(y) -> float:
-    """Support-detection cutoff 1e-6 * (1 + ||y||_inf)."""
-    y = as_vector(y)
+    """Support-detection cutoff 1e-6 * (1 + max |entry|) of a vector or matrix."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0 or not np.all(np.isfinite(y)):
+        raise ValueError("zero-tol rule needs a nonempty array of finite entries")
     return 1e-6 * (1.0 + float(np.max(np.abs(y))))
 
 

@@ -148,6 +148,13 @@ def _wall(t0: float, timing: str) -> float:
     return 0.0 if timing == "none" else time.perf_counter() - t0
 
 
+def _warn_unconverged(sol, what: str) -> None:
+    """One stderr line for an rrf solve that stopped at max_iter unconverged."""
+    if not sol.converged:
+        print(f"loire: warning: {what}: rrf solve stopped at max_iter={sol.iterations} "
+              f"without reaching tol={sol.tol:.6g}", file=sys.stderr)
+
+
 def _regress_one(method: str, a, y, args):
     """Run one regression method; returns the solution.json entry."""
     m = y.shape[0]
@@ -265,14 +272,13 @@ def cmd_simulate(args) -> int:
             t0 = time.perf_counter()
             sol = rrf_solve(inst.y, cfg)
             wall = _wall(t0, args.timing)
+            _warn_unconverged(sol, f"simulate N={n} seed={seed}")
             zero_tol = args.zero_tol if args.zero_tol is not None else \
-                1e-6 * (1.0 + float(np.max(np.abs(inst.y))))
+                default_zero_tol(inst.y)
             detected = detect_matrix_support(sol.b, zero_tol)
             metrics = compute_metrics(detected, inst.true_support, n * n)
-            used_tol = cfg.tol if cfg.tol is not None else \
-                1e-7 * (1.0 + float(np.linalg.norm(inst.y)))
             reports.append(BenchmarkReport(method="rrf", spec=spec, metrics=metrics,
-                                           wall_time_s=wall, lam=lam, tol=used_tol,
+                                           wall_time_s=wall, lam=lam, tol=sol.tol,
                                            iterations=sol.iterations))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "report.csv")
@@ -310,6 +316,7 @@ def cmd_bgmodel(args) -> int:
     t0 = time.perf_counter()
     sol = rrf_solve(stack.matrix, cfg)
     wall = _wall(t0, args.timing)
+    _warn_unconverged(sol, "bgmodel")
 
     background = sol.low_rank()
     fg = np.abs(sol.b)

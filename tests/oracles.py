@@ -84,3 +84,27 @@ def svd_residual_detector(y, rank, mask):
     u, s, vt = np.linalg.svd(y, full_matrices=False)
     l_hat = (u[:, :rank] * s[:rank]) @ vt[:rank]
     return threshold_ceiling(y - l_hat, mask)
+
+
+def rrf_full_svd_alternation(y, rank, lam, tol=None, max_iter=500):
+    """Reference robust rank factorization: a full thin SVD every iteration.
+
+    Alternates the best rank-*rank* fit of Y - B (numpy's SVD, no warm
+    start) with B <- sign(R) max(|R| - 1/lam, 0) on R = Y - A X, from B = 0,
+    until ||B_new - B||_F <= tol (default 1e-7 (1 + ||Y||_F)).  Returns the
+    objective ||B||_1 + (lam/2) ||Y - A X - B||_F^2 of the last iterate.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if tol is None:
+        tol = 1e-7 * (1.0 + np.linalg.norm(y))
+    b = np.zeros_like(y)
+    for _ in range(max_iter):
+        u, s, vt = np.linalg.svd(y - b, full_matrices=False)
+        low = (u[:, :rank] * s[:rank]) @ vt[:rank]
+        r = y - low
+        b_new = np.sign(r) * np.maximum(np.abs(r) - 1.0 / lam, 0.0)
+        delta = np.linalg.norm(b_new - b)
+        b = b_new
+        if delta <= tol:
+            break
+    return float(np.abs(b).sum() + 0.5 * lam * np.sum((y - low - b) ** 2))

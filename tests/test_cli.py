@@ -160,6 +160,20 @@ class TestSimulate:
         for row in rows:
             assert BenchmarkReport.from_row(row).to_row() == row
 
+    def test_unconverged_solve_warns(self, tmp_path, capsys):
+        # the default lambda shrinks everything to B = 0 in one step, which
+        # converges at once; criterion 5's lambda gives a real solve
+        args = ["simulate", "--n", "30", "--num-seeds", "2", "--lambda", "0.625",
+                "--timing", "none"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main(args + ["--max-iter", "1", "--tol", "1e-300",
+                            "--out", str(tmp_path / "capped")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "warning" in line]
+        assert len(warnings) == 2
+        assert all("max_iter=1" in line for line in warnings)
+
     def test_unknown_method_rejected(self, tmp_path):
         rc = main(["simulate", "--method", "rpca", "--out", str(tmp_path)])
         assert rc == 1
@@ -187,6 +201,25 @@ class TestBgmodel:
             timing = json.load(fh)
         assert timing["frames"] == 10
         assert timing["converged"]
+
+    def test_unconverged_solve_warns(self, tmp_path, capsys):
+        # static texture with a square moving across it
+        rng = np.random.default_rng(1)
+        background = rng.integers(40, 120, size=(12, 12)).astype(np.uint8)
+        for j in range(8):
+            frame = background.copy()
+            frame[j:j + 3, j:j + 3] = 250
+            write_pgm(tmp_path / f"frame_{j:03d}.pgm", frame)
+        args = ["bgmodel", str(tmp_path / "frame_*.pgm"), "--lambda", "0.1"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main(args + ["--max-iter", "1", "--tol", "1e-300",
+                            "--out", str(tmp_path / "capped")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "warning" in line]
+        assert len(warnings) == 1 and "bgmodel" in warnings[0]
+        with open(tmp_path / "capped" / "timing.json") as fh:
+            assert not json.load(fh)["converged"]
 
     def test_dimension_mismatch_names_offending_file(self, tmp_path, capsys):
         write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))

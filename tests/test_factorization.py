@@ -4,7 +4,7 @@ import pytest
 from loire import (FactorizationConfig, LoireConfig, SimSpec, compute_metrics,
                    default_matrix_lambda, detect_matrix_support, generate_sim,
                    loire_solve, rrf_objective, rrf_solve)
-from oracles import singular_values_bruteforce
+from oracles import rrf_full_svd_alternation, singular_values_bruteforce
 
 
 class TestObjective:
@@ -149,6 +149,66 @@ class TestSolver:
         detected = detect_matrix_support(sol.b, 1e-6 * (1 + np.abs(y).max()))
         metrics = compute_metrics(detected, inst.true_support, y.size)
         assert metrics.f >= 0.995
+
+
+def _corrupted_low_rank(seed, m, n, r):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(m, r)) @ rng.uniform(size=(r, n)) * 3 \
+        + rng.normal(size=(m, n)) * 0.1 \
+        + np.where(rng.random((m, n)) < 0.1, rng.uniform(-10, 10, (m, n)), 0.0)
+
+
+def _warm_step_shapes():
+    # wide and tall, rank == min(m, n), and 2r > min(m, n) with r < min(m, n)
+    shapes = [(8, 30, 3), (30, 8, 3), (15, 40, 9), (40, 15, 10), (34, 26, 14),
+              (12, 12, 12), (7, 20, 7), (20, 6, 6), (5, 5, 3), (1, 9, 1), (9, 1, 1)]
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        m, n = (int(v) for v in rng.integers(2, 40, size=2))
+        shapes.append((m, n, int(rng.integers(1, min(m, n) + 1))))
+    return shapes
+
+
+class TestWarmStep:
+    """Iterations after the first take a warm-started rank-r step in place."""
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 5.0])
+    def test_trace_descent_and_final_objective(self, lam):
+        for seed, (m, n, r) in enumerate(_warm_step_shapes()):
+            y = _corrupted_low_rank(seed, m, n, r)
+            sol = rrf_solve(y, FactorizationConfig(rank=r, lam=lam, max_iter=80))
+            final = rrf_objective(y, sol.a, sol.x, sol.b, lam)
+            assert sol.objective_trace[-1] == pytest.approx(final, rel=1e-12)
+            diffs = np.diff(sol.objective_trace)
+            assert diffs.size == 0 or diffs.max() <= 1e-12
+            assert not np.any((sol.b == 0) & np.signbit(sol.b))
+
+    def test_orthonormal_columns_after_many_warm_iterations(self):
+        for seed, (m, n, r) in enumerate([(8, 30, 3), (40, 15, 10), (34, 26, 14),
+                                          (23, 37, 7)]):
+            y = _corrupted_low_rank(seed, m, n, r)
+            sol = rrf_solve(y, FactorizationConfig(rank=r, lam=5.0, tol=1e-300,
+                                                   max_iter=60))
+            assert sol.iterations > 50
+            np.testing.assert_allclose(sol.a.T @ sol.a, np.eye(r), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_fixed_point_as_full_svd_alternation(self, seed):
+        # a criterion-5 instance run to the default tol
+        spec = SimSpec(n=200, rank_frac=0.05, spike_density=0.05,
+                       spike_amplitude=10.0, dense_noise_scale=2.0, seed=seed)
+        y = generate_sim(spec).y
+        lam = 1.0 / 1.6
+        sol = rrf_solve(y, FactorizationConfig(rank=spec.rank, lam=lam))
+        assert sol.converged
+        expected = rrf_full_svd_alternation(y, spec.rank, lam)
+        assert sol.objective_trace[-1] == pytest.approx(expected, rel=1e-9)
+
+    def test_solution_records_the_tol_it_applied(self):
+        y = _corrupted_low_rank(3, 20, 15, 2)
+        sol = rrf_solve(y, FactorizationConfig(rank=2, lam=1.0))
+        assert sol.tol == pytest.approx(1e-7 * (1.0 + np.linalg.norm(y)), rel=1e-14)
+        assert rrf_solve(y, FactorizationConfig(rank=2, lam=1.0, tol=0.5)).tol == 0.5
 
 
 class TestDefaultMatrixLambda:
