@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, least_squares_solve, soft_threshold
+from .linalg import as_matrix, as_system, least_squares_solve, range_basis, soft_threshold
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,9 @@ def baseline_lad(a, y, rho: float = 1.0, tol: float = 1e-10,
     cached pseudoinverse, the z-update a soft threshold with 1/rho.
     Non-convergence is flagged on the result, not raised.
     """
-    a = as_matrix(a)
-    y = as_vector(y)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, y has length {y.shape[0]}")
-    u_f, s_f, vt_f = np.linalg.svd(a, full_matrices=False)
-    cutoff = max(a.shape) * np.finfo(np.float64).eps * (s_f[0] if s_f.size else 0.0)
-    keep = s_f > cutoff
-    ur, sr, vr = u_f[:, keep], s_f[keep], vt_f[keep]
+    a, y = as_system(a, y)
+    ur, sr, vr = range_basis(a)
+    stop = tol * (1 + np.linalg.norm(y))
 
     m = y.shape[0]
     x = np.zeros(a.shape[1])
@@ -146,8 +141,7 @@ def baseline_lad(a, y, rho: float = 1.0, tol: float = 1e-10,
         z = z_new
         u = u + r_primal
         iterations += 1
-        if np.linalg.norm(r_primal) <= tol * (1 + np.linalg.norm(y)) \
-                and np.linalg.norm(s_dual) <= tol * (1 + np.linalg.norm(y)):
+        if np.linalg.norm(r_primal) <= stop and np.linalg.norm(s_dual) <= stop:
             converged = True
             break
     return LadSolution(x=x, iterations=iterations, converged=converged)

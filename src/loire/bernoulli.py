@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, least_squares_solve
+from .linalg import as_system, least_squares_solve
 from .regression import LoireConfig, LoireSolution, loire_solve
 
 ENUMERATION_CAP = 10**6
@@ -68,18 +68,19 @@ def detect_support(sol: LoireSolution, zero_tol: float) -> tuple[int, ...]:
     """Indices i with |b_i| > zero_tol, sorted ascending."""
     if zero_tol < 0:
         raise ValueError(f"zero_tol={zero_tol} must be nonnegative")
-    return tuple(int(i) for i in np.flatnonzero(np.abs(sol.b) > zero_tol))
+    return tuple(np.flatnonzero(np.abs(sol.b) > zero_tol).tolist())
 
 
 def _refit(a: np.ndarray, y: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares refit on the rows outside *support*; returns (x, b)."""
     m = y.shape[0]
-    clean = np.setdiff1d(np.arange(m), np.asarray(support, dtype=int))
-    if clean.size == 0:
+    idx = np.asarray(support, dtype=int)
+    clean = np.ones(m, dtype=bool)
+    clean[idx] = False
+    if not clean.any():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
     x = least_squares_solve(a[clean], y[clean])
     b = np.zeros(m)
-    idx = np.asarray(support, dtype=int)
     if idx.size:
         # slice the full residual so y - A x - b is exactly zero on the support
         b[idx] = (y - a @ x)[idx]
@@ -88,8 +89,7 @@ def _refit(a: np.ndarray, y: np.ndarray, support) -> tuple[np.ndarray, np.ndarra
 
 def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolution:
     """Two-stage estimate: shrinkage-based support detection, then clean refit."""
-    a = as_matrix(a)
-    y = as_vector(y)
+    a, y = as_system(a, y)
     if zero_tol is None:
         zero_tol = default_zero_tol(y)
     stage1 = loire_solve(a, y, cfg)
@@ -105,10 +105,7 @@ def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
     lexicographically; the first one whose complement refit leaves residual
     norm <= t wins.  Guarded so the total candidate count stays below 1e6.
     """
-    a = as_matrix(a)
-    y = as_vector(y)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, y has length {y.shape[0]}")
+    a, y = as_system(a, y)
     m = y.shape[0]
     max_support = min(cfg.max_support, m)
     total = sum(math.comb(m, k) for k in range(max_support + 1))

@@ -149,9 +149,9 @@ def _wall(t0: float, timing: str) -> float:
 
 
 def _warn_unconverged(sol, what: str) -> None:
-    """One stderr line for an rrf solve that stopped at max_iter unconverged."""
+    """One stderr line for a solve that stopped at max_iter unconverged."""
     if not sol.converged:
-        print(f"loire: warning: {what}: rrf solve stopped at max_iter={sol.iterations} "
+        print(f"loire: warning: {what}: solve stopped at max_iter={sol.iterations} "
               f"without reaching tol={sol.tol:.6g}", file=sys.stderr)
 
 
@@ -165,19 +165,18 @@ def _regress_one(method: str, a, y, args):
 
     t0 = time.perf_counter()
     trace: list[float] = []
-    iterations = 0
     converged = True
-    if method == "loire":
-        sol = loire_solve(a, y, cfg)
+    if method in ("loire", "appbem"):
+        if method == "loire":
+            stage1 = sol = loire_solve(a, y, cfg)
+            support = list(detect_support(sol, zero_tol))
+        else:
+            sol = app_bem(a, y, cfg, zero_tol)
+            stage1, support = sol.loire, list(sol.support)
+        _warn_unconverged(stage1, f"regress method={method}")
         x, b = sol.x, sol.b
-        support = list(detect_support(sol, zero_tol))
-        trace, iterations, converged = sol.objective_trace, sol.iterations, sol.converged
-    elif method == "appbem":
-        sol = app_bem(a, y, cfg, zero_tol)
-        x, b = sol.x, sol.b
-        support = list(sol.support)
-        trace = sol.loire.objective_trace
-        iterations, converged = sol.loire.iterations, sol.loire.converged
+        trace, iterations, converged = \
+            stage1.objective_trace, stage1.iterations, stage1.converged
     elif method == "ols":
         x = baseline_ols(a, y)
         b = np.zeros(m)

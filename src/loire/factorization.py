@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, truncated_svd
+from .linalg import _shrink_project, as_matrix, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -99,46 +99,22 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     Stops when ||B_{k+1} - B_k||_F drops to cfg.tol.
     """
     y = as_matrix(y)
-    m, n = y.shape
-    if cfg.rank > min(m, n):
-        raise ValueError(f"rank={cfg.rank} out of range [1, {min(m, n)}] for shape {y.shape}")
+    if cfg.rank > min(y.shape):
+        raise ValueError(f"rank={cfg.rank} out of range [1, {min(y.shape)}] for shape {y.shape}")
     tol = cfg.tol if cfg.tol is not None else 1e-7 * (1.0 + float(np.linalg.norm(y)))
 
-    # the only full-size buffers besides y; every step below works in place
-    b = np.zeros_like(y)
-    b_new = np.empty_like(y)
-    res = np.empty_like(y)
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    thresh = 1.0 / cfg.lam
     a_fac = x_fac = None
-    for _ in range(cfg.max_iter):
-        np.subtract(y, b, out=res)
+
+    def project(res):
+        nonlocal a_fac, x_fac
         if a_fac is None:
             svd = truncated_svd(res, cfg.rank)
             a_fac, x_fac = svd.u, svd.sigma[:, None] * svd.vt
         else:
             a_fac, x_fac = _warm_rank_step(res, a_fac, cfg.rank)
-        # res <- Y - A X, written through its transpose so BLAS fills it directly
+        # res <- A X, written through its transpose so BLAS fills it directly
         np.matmul(x_fac.T, a_fac.T, out=res.T)
-        np.subtract(y, res, out=res)
-        # b_new <- soft_threshold(res, thresh), without -0.0
-        np.abs(res, out=b_new)
-        b_new -= thresh
-        np.maximum(b_new, 0.0, out=b_new)
-        l1 = float(b_new.sum())
-        np.copysign(b_new, res, out=b_new)
-        b_new += 0.0
-        res -= b_new
-        flat = res.ravel(order="K")  # a view: y's layout is kept by every buffer
-        trace.append(l1 + 0.5 * cfg.lam * float(np.dot(flat, flat)))
-        b -= b_new
-        delta = float(np.linalg.norm(b))
-        b, b_new = b_new, b
-        iterations += 1
-        if delta <= tol:
-            converged = True
-            break
+
+    b, trace, iterations, converged = _shrink_project(y, project, cfg.lam, tol, cfg.max_iter)
     return FactorizationSolution(a=a_fac, x=x_fac, b=b, objective_trace=trace,
                                  iterations=iterations, converged=converged, tol=tol)

@@ -7,6 +7,7 @@ Constructors reject non-finite entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,14 @@ def as_vector(y) -> np.ndarray:
     return y
 
 
+def as_system(a, y) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a linear system: *a* as a matrix, *y* as a vector of as many rows."""
+    a, y = as_matrix(a), as_vector(y)
+    if a.shape[0] != y.shape[0]:
+        raise ValueError(f"dimension mismatch: A is {a.shape}, y has length {y.shape[0]}")
+    return a, y
+
+
 @dataclass(frozen=True)
 class TruncatedSvd:
     """Rank-r singular triplet bundle: u (m×r), sigma (r,), vt (r×n)."""
@@ -43,10 +52,6 @@ class TruncatedSvd:
     u: np.ndarray
     sigma: np.ndarray
     vt: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.sigma.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """Return u @ diag(sigma) @ vt."""
@@ -60,10 +65,7 @@ def least_squares_solve(a, y) -> np.ndarray:
     max(m, n) * eps * sigma_max are excluded, so rank-deficient systems get
     the Moore-Penrose (minimum-norm) solution.
     """
-    a = as_matrix(a)
-    y = as_vector(y)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, y has length {y.shape[0]}")
+    a, y = as_system(a, y)
     x, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
     return x
 
@@ -77,6 +79,54 @@ def truncated_svd(a, r: int) -> TruncatedSvd:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return TruncatedSvd(u=np.asfortranarray(u[:, :r]), sigma=s[:r].copy(),
                         vt=np.asfortranarray(vt[:r]))
+
+
+def range_basis(a: np.ndarray):
+    """Thin SVD factors (u_r, sigma_r, vt_r) of the numerical range of *a*.
+
+    Directions with singular value at most max(m, n) * eps * sigma_max are
+    dropped, the rule of `least_squares_solve`, so u_r u_rᵀ projects onto
+    the range and vt_rᵀ ((u_rᵀ z) / sigma_r) is the minimum-norm fit of z.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
+    return u[:, keep], s[keep], vt[keep]
+
+
+def _shrink_project(y: np.ndarray, project, lam: float, tol: float, max_iter: int):
+    """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
+
+    *project(res)* overwrites res with P(res).  Besides y the loop holds three
+    arrays of y's layout (b, b_new, one residual) and computes the shrink, the
+    objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2 and ||Δb|| in place.
+    Returns (b, objective trace, iterations, converged).
+    """
+    b = np.zeros_like(y)
+    b_new = np.empty_like(y)
+    res = np.empty_like(y)
+    trace: list[float] = []
+    thresh = 1.0 / lam
+    for it in range(1, max_iter + 1):
+        np.subtract(y, b, out=res)
+        project(res)
+        np.subtract(y, res, out=res)
+        # b_new <- sign(res) max(|res| - thresh, 0), without -0.0
+        np.abs(res, out=b_new)
+        b_new -= thresh
+        np.maximum(b_new, 0.0, out=b_new)
+        l1 = float(b_new.sum())
+        np.copysign(b_new, res, out=b_new)
+        b_new += 0.0
+        res -= b_new
+        flat = res.ravel(order="K")  # a view: every buffer keeps y's layout
+        trace.append(l1 + 0.5 * lam * float(np.dot(flat, flat)))
+        b -= b_new
+        flat = b.ravel(order="K")
+        delta = math.sqrt(float(np.dot(flat, flat)))
+        b, b_new = b_new, b
+        if delta <= tol:
+            return b, trace, it, True
+    return b, trace, max_iter, False
 
 
 def soft_threshold(v, tau: float):

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, least_squares_solve, soft_threshold
+from .linalg import (_shrink_project, as_matrix, as_system, as_vector, least_squares_solve,
+                     range_basis)
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,7 @@ class LoireSolution:
     objective_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    tol: float | None = None  # the stopping tolerance the solve applied
 
 
 def loire_objective(a, y, x, b, lam: float) -> float:
@@ -60,8 +62,7 @@ def loire_objective(a, y, x, b, lam: float) -> float:
 
 def default_lambda(a, y) -> float:
     """Heuristic penalty weight 1 / median(|y - A x_ls|), clamped to [1e-6, 1e6]."""
-    a = as_matrix(a)
-    y = as_vector(y)
+    a, y = as_system(a, y)
     resid = np.abs(y - a @ least_squares_solve(a, y))
     med = float(np.median(resid))
     if med <= 1e-300:
@@ -77,37 +78,19 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     drops to cfg.tol; hitting max_iter first returns converged=False.
     The pseudoinverse factors of A are computed once and reused.
     """
-    a = as_matrix(a)
-    y = as_vector(y)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, y has length {y.shape[0]}")
+    a, y = as_system(a, y)
     tol = cfg.tol if cfg.tol is not None else 1e-10 * (1.0 + float(np.linalg.norm(y)))
-
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = max(a.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    keep = s > cutoff
-    ur, sr, vr = u[:, keep], s[keep], vt[keep]
-
-    def pinv_apply(z):
-        return vr.T @ ((ur.T @ z) / sr)
-
-    m = y.shape[0]
-    b = np.zeros(m)
+    ur, sr, vr = range_basis(a)
+    coef = np.empty(sr.shape[0])
     x = np.zeros(a.shape[1])
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    thresh = 1.0 / cfg.lam
-    for _ in range(cfg.max_iter):
-        x = pinv_apply(y - b)
-        resid = y - a @ x
-        b_new = soft_threshold(resid, thresh)
-        trace.append(loire_objective(a, y, x, b_new, cfg.lam))
-        delta = float(np.linalg.norm(b_new - b))
-        b = b_new
-        iterations += 1
-        if delta <= tol:
-            converged = True
-            break
-    return LoireSolution(x=x, b=b, objective_trace=trace,
-                         iterations=iterations, converged=converged)
+
+    def project(res):
+        # res <- A x with x = pinv(A) res: the projection onto the range of A
+        np.matmul(ur.T, res, out=coef)
+        np.divide(coef, sr, out=coef)
+        np.matmul(vr.T, coef, out=x)
+        np.matmul(a, x, out=res)
+
+    b, trace, iterations, converged = _shrink_project(y, project, cfg.lam, tol, cfg.max_iter)
+    return LoireSolution(x=x, b=b, objective_trace=trace, iterations=iterations,
+                         converged=converged, tol=tol)

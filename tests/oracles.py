@@ -108,3 +108,30 @@ def rrf_full_svd_alternation(y, rank, lam, tol=None, max_iter=500):
         if delta <= tol:
             break
     return float(np.abs(b).sum() + 0.5 * lam * np.sum((y - low - b) ** 2))
+
+
+def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
+    """Reference regression alternation: a fresh least-squares fit every iteration.
+
+    From b = 0, alternates x <- lstsq(A, y - b) (numpy's minimum-norm solve)
+    with b <- sign(r) max(|r| - 1/lam, 0) on r = y - A x, until
+    ||b_new - b||_2 <= tol (default 1e-10 (1 + ||y||_2)).  Returns
+    (x, b, objective trace, iterations, converged), the objective being
+    ||b||_1 + (lam/2) ||y - A x - b||_2^2 after each iteration.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if tol is None:
+        tol = 1e-10 * (1.0 + np.linalg.norm(y))
+    b = np.zeros_like(y)
+    trace = []
+    for it in range(1, max_iter + 1):
+        x = np.linalg.lstsq(a, y - b, rcond=None)[0]
+        r = y - a @ x
+        b_new = np.sign(r) * np.maximum(np.abs(r) - 1.0 / lam, 0.0)
+        trace.append(float(np.abs(b_new).sum() + 0.5 * lam * np.sum((r - b_new) ** 2)))
+        delta = np.linalg.norm(b_new - b)
+        b = b_new
+        if delta <= tol:
+            return x, b, trace, it, True
+    return x, b, trace, max_iter, False

@@ -1,5 +1,7 @@
 import math
+import types
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from loire import (AllRowsOutliers, InfeasibleRadius, LoireConfig, LoireSolution,
                    OracleConfig, app_bem, bernoulli_log_likelihood,
                    bernoulli_oracle, default_zero_tol, detect_support,
-                   least_squares_solve)
+                   default_lambda, least_squares_solve)
+from oracles import loire_plain_alternation
 
 
 def _loire_with_b(b):
@@ -233,3 +236,47 @@ class TestAgreementWithOracle:
             if set(bem.support) == set(orc.support):
                 agree += 1
         assert agree >= 0.95 * 200
+
+
+class TestSupportTypes:
+    """Supports hold Python ints, so they serialize to JSON as they are."""
+
+    def test_detect_support_entries_are_int(self):
+        support = detect_support(_loire_with_b([0.0, -2.0, 0.0, 3.5]), 1e-6)
+        assert support == (1, 3)
+        assert all(type(i) is int for i in support)
+
+    def test_app_bem_support_entries_are_int(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(30, 2))
+        y = a @ np.array([0.5, 2.0]) + 0.01 * rng.normal(size=30)
+        y[[3, 11, 20]] += [9.0, -12.0, 7.0]
+        sol = app_bem(a, y, LoireConfig(lam=20.0))
+        assert sol.support == (3, 11, 20)
+        assert all(type(i) is int for i in sol.support)
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py (numpy only), run from its source so that nothing,
+    not even a bytecode cache, is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestBenchmarkContract:
+    def test_regress_batch_smoke_problems_meet_the_app_bem_contract(self):
+        """The benchmark's own appBEM check (normal equations, b on the support,
+        non-increasing trace) on every smoke regress-batch problem, and the
+        support a plain lstsq alternation would flag."""
+        wl = _perfbench_workloads()
+        problems = list(wl.batch_problems(0, wl.sizes("regress-batch", smoke=True)))
+        assert len(problems) == 40
+        for a, y, _, _ in problems:
+            lam = default_lambda(a, y)
+            sol = app_bem(a, y, LoireConfig(lam=lam))
+            assert wl.check_bem(a, y, sol.x, sol.b, sol.support, sol.loire.objective_trace,
+                                sol.loire.iterations) == []
+            _, b_ref, _, _, _ = loire_plain_alternation(a, y, lam)
+            assert sol.support == detect_support(_loire_with_b(b_ref), default_zero_tol(y))

@@ -119,6 +119,22 @@ class TestRegress:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_unconverged_solve_warns(self, corrupted_fixture, tmp_path, capsys):
+        path, _ = corrupted_fixture
+        args = ["regress", str(path), "--target", "y", "--intercept",
+                "--method", "loire,appbem,ols", "--timing", "none"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main(args + ["--max-iter", "1", "--tol", "1e-300",
+                            "--out", str(tmp_path / "capped")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "warning" in line]
+        assert len(warnings) == 2
+        assert all("max_iter=1" in line for line in warnings)
+        assert "method=loire" in warnings[0] and "method=appbem" in warnings[1]
+        entries = load_solution(tmp_path / "capped")
+        assert not entries["loire"]["converged"] and not entries["appbem"]["converged"]
+
     def test_lad_runs(self, corrupted_fixture, tmp_path):
         path, clean_slope = corrupted_fixture
         out = tmp_path / "out"

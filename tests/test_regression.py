@@ -3,6 +3,7 @@ import pytest
 
 from loire import (LoireConfig, default_lambda, least_squares_solve,
                    loire_objective, loire_solve, soft_threshold)
+from oracles import loire_plain_alternation
 
 
 def random_instance(seed, m_hi=60, n_hi=8, y_scale=3.0):
@@ -189,3 +190,73 @@ class TestDefaultLambda:
         lam = default_lambda(a, y)
         resid = np.abs(y - a @ least_squares_solve(a, y))
         assert lam == pytest.approx(1.0 / np.median(resid))
+
+
+def _with_outliers(rng, m, n):
+    a = rng.normal(size=(m, n))
+    y = a @ rng.normal(size=n) + 0.1 * rng.normal(size=m)
+    y[::7] += rng.choice([-1.0, 1.0], size=y[::7].size) * rng.uniform(5.0, 20.0, size=y[::7].size)
+    return a, y
+
+
+def _loop_case(name):
+    """(A, y, lam) for one shape of TestInPlaceLoop."""
+    rng = np.random.default_rng(7)
+    if name == "wide":
+        a, y = _with_outliers(rng, 6, 10)
+        return a, y, 1.0
+    if name == "rank_deficient":
+        a, y = _with_outliers(rng, 40, 3)
+        a = np.column_stack([a, a[:, 0]])
+    elif name == "single_column":
+        a, y = _with_outliers(rng, 30, 1)
+    elif name == "zero_y":
+        return rng.normal(size=(20, 3)), np.zeros(20), 1.0
+    else:
+        a, y = _with_outliers(rng, 50, 5)
+        a = np.ascontiguousarray(a) if name == "c_order" else np.asfortranarray(a)
+    return a, y, default_lambda(a, y)
+
+
+LOOP_CASES = ("wide", "rank_deficient", "single_column", "zero_y", "c_order", "f_order")
+
+
+class TestInPlaceLoop:
+    """The in-place loop against a plain alternation with a fresh lstsq each step."""
+
+    @pytest.mark.parametrize("name", LOOP_CASES)
+    def test_matches_plain_alternation(self, name):
+        a, y, lam = _loop_case(name)
+        tol = 1e-10 * (1.0 + np.linalg.norm(y))
+        sol = loire_solve(a, y, LoireConfig(lam=lam))
+        x_ref, b_ref, _, iterations, converged = loire_plain_alternation(a, y, lam, tol)
+        assert (sol.iterations, sol.converged) == (iterations, converged)
+        assert np.linalg.norm(sol.x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(sol.b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
+        assert sol.tol == tol
+
+    @pytest.mark.parametrize("name", LOOP_CASES)
+    def test_trace_descent_and_signed_zeros(self, name):
+        a, y, lam = _loop_case(name)
+        sol = loire_solve(a, y, LoireConfig(lam=lam))
+        f = np.asarray(sol.objective_trace)
+        assert f.size == sol.iterations
+        # relative, floored at 1 as in the benchmark's trace check, since the
+        # objective of an exact fit is rounding noise near 0
+        final = loire_objective(a, y, sol.x, sol.b, lam)
+        assert abs(f[-1] - final) <= 1e-12 * max(1.0, abs(final))
+        assert np.all(np.diff(f) <= 1e-12 * np.maximum(1.0, np.abs(f[:-1])))
+        assert not np.any(np.signbit(sol.b[sol.b == 0.0]))
+
+    def test_memory_order_does_not_matter(self):
+        a, y, lam = _loop_case("c_order")
+        f_sol = loire_solve(np.asfortranarray(a), y, LoireConfig(lam=lam))
+        c_sol = loire_solve(a, y, LoireConfig(lam=lam))
+        np.testing.assert_array_equal(c_sol.x, f_sol.x)
+        np.testing.assert_array_equal(c_sol.b, f_sol.b)
+
+    def test_explicit_tol_recorded(self):
+        a, y, lam = _loop_case("single_column")
+        sol = loire_solve(a, y, LoireConfig(lam=lam, tol=1e-3))
+        assert sol.tol == 1e-3
+        assert sol.converged
