@@ -26,7 +26,6 @@ class SimSpec:
     spike_amplitude: float = 10.0
     spike_density: float = 0.05
     seed: int = 0
-    gaussian_noise: bool = False  # sensitivity switch: true Gaussian instead of uniform
 
     def __post_init__(self):
         if self.n < 1:
@@ -58,10 +57,7 @@ def generate_sim(spec: SimSpec) -> SimInstance:
     n, r = spec.n, spec.rank
     p = rng.uniform(0.0, 1.0, size=(n, r))
     l = p @ p.T
-    if spec.gaussian_noise:
-        g = rng.normal(0.0, spec.dense_noise_scale / 2.0, size=(n, n))
-    else:
-        g = rng.uniform(0.0, spec.dense_noise_scale, size=(n, n))
+    g = rng.uniform(0.0, spec.dense_noise_scale, size=(n, n))
     mask = rng.random(size=(n, n)) < spec.spike_density
     b_true = np.where(mask, spec.spike_amplitude * rng.uniform(0.0, 1.0, size=(n, n)), 0.0)
     support = {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
@@ -78,7 +74,7 @@ class DetectionMetrics:
     f: float
 
 
-def compute_metrics(detected: set, truth: set, universe: int) -> DetectionMetrics:
+def compute_metrics(detected: set, truth: set) -> DetectionMetrics:
     """Detection rate, precision, and F-measure over corrupted-entry detection.
 
     Empty-denominator conventions: DR = 1 when there is nothing to find,

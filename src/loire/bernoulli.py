@@ -71,20 +71,31 @@ def detect_support(sol: LoireSolution, zero_tol: float) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.abs(sol.b) > zero_tol).tolist())
 
 
-def _refit(a: np.ndarray, y: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares refit on the rows outside *support*; returns (x, b)."""
-    m = y.shape[0]
-    idx = np.asarray(support, dtype=int)
-    clean = np.ones(m, dtype=bool)
-    clean[idx] = False
-    if not clean.any():
-        raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
-    x = least_squares_solve(a[clean], y[clean])
-    b = np.zeros(m)
-    if idx.size:
-        # slice the full residual so y - A x - b is exactly zero on the support
-        b[idx] = (y - a @ x)[idx]
+def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit on the rows where *clean* is True; returns (x, b).
+
+    b is y - A x on the other rows and 0 on the clean ones, so y - A x - b
+    vanishes exactly off the clean rows; x = 0 when no row is clean.
+    """
+    x = least_squares_solve(a[clean], y[clean]) if clean.any() else np.zeros(a.shape[1])
+    b = y - a @ x
+    b[clean] = 0.0
     return x, b
+
+
+def enumeration_count(m: int, max_support: int) -> int:
+    """Number of supports of size <= max_support among m rows.
+
+    Raises ValueError as soon as the running total passes ENUMERATION_CAP, so
+    a refusal costs a few terms however large m is.
+    """
+    total = 0
+    for k in range(min(max_support, m) + 1):
+        total += math.comb(m, k)
+        if total > ENUMERATION_CAP:
+            raise ValueError(f"more than {ENUMERATION_CAP} candidate supports exceed the "
+                             "enumeration cap; reduce the row count or max_support")
+    return total
 
 
 def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolution:
@@ -94,7 +105,11 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
         zero_tol = default_zero_tol(y)
     stage1 = loire_solve(a, y, cfg)
     support = detect_support(stage1, zero_tol)
-    x, b = _refit(a, y, support)
+    if len(support) == y.shape[0]:
+        raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
+    clean = np.ones(y.shape[0], dtype=bool)
+    clean[list(support)] = False
+    x, b = _refit(a, y, clean)
     return BemSolution(support=support, x=x, b=b, loire=stage1)
 
 
@@ -103,34 +118,20 @@ def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
 
     Candidate supports are visited in order of increasing size, ties broken
     lexicographically; the first one whose complement refit leaves residual
-    norm <= t wins.  Guarded so the total candidate count stays below 1e6.
+    norm <= t wins.  Refused by enumeration_count above ENUMERATION_CAP
+    candidates.
     """
     a, y = as_system(a, y)
     m = y.shape[0]
     max_support = min(cfg.max_support, m)
-    total = sum(math.comb(m, k) for k in range(max_support + 1))
-    if total > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration of {total} supports exceeds the cap of {ENUMERATION_CAP}; "
-            "reduce m or max_support")
-    rows = np.arange(m)
+    enumeration_count(m, max_support)
     for k in range(max_support + 1):
         for cand in combinations(range(m), k):
-            clean = np.setdiff1d(rows, np.asarray(cand, dtype=int))
-            if clean.size == 0:
-                x = np.zeros(a.shape[1])
-                resid = 0.0
-            else:
-                x = least_squares_solve(a[clean], y[clean])
-                resid = float(np.linalg.norm(y[clean] - a[clean] @ x))
-            if resid <= cfg.t:
-                b = np.zeros(m)
-                idx = np.asarray(cand, dtype=int)
-                if idx.size:
-                    # slice the full residual so y - A x - b vanishes exactly
-                    # on the accepted support
-                    b[idx] = (y - a @ x)[idx]
-                return BemSolution(support=tuple(cand), x=x, b=b, loire=None)
+            clean = np.ones(m, dtype=bool)
+            clean[list(cand)] = False
+            x, b = _refit(a, y, clean)
+            if float(np.linalg.norm(y - a @ x - b)) <= cfg.t:
+                return BemSolution(support=cand, x=x, b=b, loire=None)
     raise InfeasibleRadius(f"infeasible at this t: no support of size <= {max_support} "
                            f"leaves residual within {cfg.t}")
 

@@ -9,7 +9,6 @@ import argparse
 import csv
 import glob
 import json
-import math
 import os
 import sys
 import time
@@ -20,12 +19,12 @@ from . import __version__
 from .benchmark import (BenchmarkReport, REPORT_COLUMNS, SimSpec, baseline_lad,
                         baseline_ols, compute_metrics, detect_matrix_support,
                         generate_sim)
-from .bernoulli import (AllRowsOutliers, ENUMERATION_CAP, InfeasibleRadius,
-                        OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
-                        detect_support)
+from .bernoulli import (AllRowsOutliers, InfeasibleRadius, OracleConfig, app_bem,
+                        bernoulli_oracle, default_zero_tol, detect_support,
+                        enumeration_count)
 from .factorization import FactorizationConfig, default_matrix_lambda, rrf_solve
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
-from .regression import LoireConfig, default_lambda, loire_solve
+from .regression import LoireConfig, loire_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,12 +48,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_solver_flags(sub):
+def _add_solver_flags(sub, config):
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="penalty weight (default: data-driven heuristic)")
     sub.add_argument("--tol", type=float, default=None,
                      help="convergence tolerance (default: scale-aware rule)")
-    sub.add_argument("--max-iter", type=int, default=None)
+    sub.add_argument("--max-iter", type=int, default=config.max_iter)
     sub.add_argument("--zero-tol", type=float, default=None,
                      help="support-detection cutoff (default: 1e-6*(1+max |y|))")
     sub.add_argument("--out", default=".", help="output directory")
@@ -77,7 +76,7 @@ def build_parser() -> _Parser:
                        help="residual radius t for the oracle (default: from appBEM fit)")
     p_reg.add_argument("--max-support", type=int, default=None,
                        help="oracle support-size cap (default: m)")
-    _add_solver_flags(p_reg)
+    _add_solver_flags(p_reg, LoireConfig)
 
     p_sim = sub.add_parser("simulate", help="synthetic corruption benchmark")
     p_sim.add_argument("--n", default="100", help="comma list of square dimensions")
@@ -91,14 +90,14 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--lambda-mult", type=float, default=1.0,
                        help="multiplier on the heuristic matrix lambda")
     p_sim.add_argument("--method", default="rrf")
-    _add_solver_flags(p_sim)
+    _add_solver_flags(p_sim, FactorizationConfig)
 
     p_bg = sub.add_parser("bgmodel", help="background/foreground split of a PGM sequence")
     p_bg.add_argument("frames", help="glob pattern matching the input PGM frames")
     p_bg.add_argument("--rank", type=int, default=1,
                       help="background rank (1 static, ~3 for illumination changes)")
     p_bg.add_argument("--lambda-mult", type=float, default=1.0)
-    _add_solver_flags(p_bg)
+    _add_solver_flags(p_bg, FactorizationConfig)
 
     p_ver = sub.add_parser("version", help="print version")
     p_ver.add_argument("--json", action="store_true", dest="as_json")
@@ -158,10 +157,8 @@ def _warn_unconverged(sol, what: str) -> None:
 def _regress_one(method: str, a, y, args):
     """Run one regression method; returns the solution.json entry."""
     m = y.shape[0]
-    lam = args.lam if args.lam is not None else default_lambda(a, y)
     zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(y)
-    max_iter = args.max_iter if args.max_iter is not None else 1000
-    cfg = LoireConfig(lam=lam, tol=args.tol, max_iter=max_iter)
+    cfg = LoireConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
 
     t0 = time.perf_counter()
     trace: list[float] = []
@@ -183,24 +180,22 @@ def _regress_one(method: str, a, y, args):
         support = []
         iterations = 1
     elif method == "lad":
-        res = baseline_lad(a, y, max_iter=max_iter)
+        res = baseline_lad(a, y, max_iter=args.max_iter)
         x = res.x
         b = y - a @ x
         support = [int(i) for i in np.flatnonzero(np.abs(b) > zero_tol)]
         iterations, converged = res.iterations, res.converged
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
-        total = sum(math.comb(m, k) for k in range(min(max_support, m) + 1))
-        if total > ENUMERATION_CAP:
-            raise UsageError(
-                f"oracle refused: {total} candidate supports exceed the {ENUMERATION_CAP} cap "
-                "(reduce the row count or --max-support)")
+        try:
+            enumeration_count(m, max_support)
+        except ValueError as exc:
+            raise UsageError(f"oracle refused: {exc}")
         if args.radius is not None:
             t_radius = args.radius
         else:
             ref = app_bem(a, y, cfg, zero_tol)
-            clean = np.setdiff1d(np.arange(m), np.asarray(ref.support, dtype=int))
-            t_radius = 1.05 * float(np.linalg.norm(y[clean] - a[clean] @ ref.x)) + 1e-12
+            t_radius = 1.05 * float(np.linalg.norm(y - a @ ref.x - ref.b)) + 1e-12
         sol = bernoulli_oracle(a, y, OracleConfig(t=t_radius, max_support=max_support))
         x, b = sol.x, sol.b
         support = list(sol.support)
@@ -265,9 +260,8 @@ def cmd_simulate(args) -> int:
                 raise UsageError(str(exc))
             lam = args.lam if args.lam is not None else \
                 default_matrix_lambda(inst.y, args.lambda_mult)
-            max_iter = args.max_iter if args.max_iter is not None else 500
             cfg = FactorizationConfig(rank=spec.rank, lam=lam, tol=args.tol,
-                                      max_iter=max_iter)
+                                      max_iter=args.max_iter)
             t0 = time.perf_counter()
             sol = rrf_solve(inst.y, cfg)
             wall = _wall(t0, args.timing)
@@ -275,9 +269,9 @@ def cmd_simulate(args) -> int:
             zero_tol = args.zero_tol if args.zero_tol is not None else \
                 default_zero_tol(inst.y)
             detected = detect_matrix_support(sol.b, zero_tol)
-            metrics = compute_metrics(detected, inst.true_support, n * n)
+            metrics = compute_metrics(detected, inst.true_support)
             reports.append(BenchmarkReport(method="rrf", spec=spec, metrics=metrics,
-                                           wall_time_s=wall, lam=lam, tol=sol.tol,
+                                           wall_time_s=wall, lam=sol.lam, tol=sol.tol,
                                            iterations=sol.iterations))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "report.csv")
@@ -310,8 +304,7 @@ def cmd_bgmodel(args) -> int:
                          f"{stack.matrix.shape[0]}x{stack.matrix.shape[1]} stack")
     lam = args.lam if args.lam is not None else \
         default_matrix_lambda(stack.matrix, args.lambda_mult)
-    max_iter = args.max_iter if args.max_iter is not None else 500
-    cfg = FactorizationConfig(rank=args.rank, lam=lam, tol=args.tol, max_iter=max_iter)
+    cfg = FactorizationConfig(rank=args.rank, lam=lam, tol=args.tol, max_iter=args.max_iter)
     t0 = time.perf_counter()
     sol = rrf_solve(stack.matrix, cfg)
     wall = _wall(t0, args.timing)
@@ -333,7 +326,7 @@ def cmd_bgmodel(args) -> int:
         "width": stack.width,
         "height": stack.height,
         "rank": args.rank,
-        "lambda": lam,
+        "lambda": sol.lam,
         "iterations": sol.iterations,
         "converged": sol.converged,
         "wall_time_s": wall,

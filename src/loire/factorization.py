@@ -49,6 +49,7 @@ class FactorizationSolution:
     iterations: int = 0
     converged: bool = False
     tol: float | None = None  # the stopping tolerance the solve applied
+    lam: float | None = None  # the penalty weight the solve applied
 
     def low_rank(self) -> np.ndarray:
         """The recovered low-rank component A X."""
@@ -117,4 +118,5 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
 
     b, trace, iterations, converged = _shrink_project(y, project, cfg.lam, tol, cfg.max_iter)
     return FactorizationSolution(a=a_fac, x=x_fac, b=b, objective_trace=trace,
-                                 iterations=iterations, converged=converged, tol=tol)
+                                 iterations=iterations, converged=converged, tol=tol,
+                                 lam=cfg.lam)

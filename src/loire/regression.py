@@ -19,18 +19,19 @@ from .linalg import (_shrink_project, as_matrix, as_system, as_vector, least_squ
 class LoireConfig:
     """Solver settings.
 
-    lam is the quadratic penalty weight (the shrinkage threshold is 1/lam).
-    tol bounds ||b_{k+1} - b_k||_2 at convergence; None selects the default
-    1e-10 * (1 + ||y||_2), tight enough that the lasso subgradient
-    certificate holds to 1e-6 at the returned point.
+    lam is the quadratic penalty weight (the shrinkage threshold is 1/lam);
+    None selects default_lambda(A, y).  tol bounds ||b_{k+1} - b_k||_2 at
+    convergence; None selects the default 1e-10 * (1 + ||y||_2), tight
+    enough that the lasso subgradient certificate holds to 1e-6 at the
+    returned point.
     """
 
-    lam: float
+    lam: float | None = None
     tol: float | None = None
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if self.lam is not None and self.lam <= 0:
             raise ValueError(f"lam={self.lam} must be positive")
         if self.tol is not None and self.tol <= 0:
             raise ValueError(f"tol={self.tol} must be positive")
@@ -46,6 +47,7 @@ class LoireSolution:
     iterations: int = 0
     converged: bool = False
     tol: float | None = None  # the stopping tolerance the solve applied
+    lam: float | None = None  # the penalty weight the solve applied
 
 
 def loire_objective(a, y, x, b, lam: float) -> float:
@@ -79,6 +81,7 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
+    lam = cfg.lam if cfg.lam is not None else default_lambda(a, y)
     tol = cfg.tol if cfg.tol is not None else 1e-10 * (1.0 + float(np.linalg.norm(y)))
     ur, sr, vr = range_basis(a)
     coef = np.empty(sr.shape[0])
@@ -91,6 +94,6 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
         np.matmul(vr.T, coef, out=x)
         np.matmul(a, x, out=res)
 
-    b, trace, iterations, converged = _shrink_project(y, project, cfg.lam, tol, cfg.max_iter)
+    b, trace, iterations, converged = _shrink_project(y, project, lam, tol, cfg.max_iter)
     return LoireSolution(x=x, b=b, objective_trace=trace, iterations=iterations,
-                         converged=converged, tol=tol)
+                         converged=converged, tol=tol, lam=lam)

@@ -154,7 +154,7 @@ def test_criterion_5_benchmark_detection_floor():
         inst = generate_sim(spec)
         sol = rrf_solve(inst.y, FactorizationConfig(rank=spec.rank, lam=1.0 / 1.6))
         detected = detect_matrix_support(sol.b, 1e-6 * (1 + np.abs(inst.y).max()))
-        m = compute_metrics(detected, inst.true_support, inst.y.size)
+        m = compute_metrics(detected, inst.true_support)
         spikes = inst.b_true != 0
         ref_f, ref_dr, _, _ = svd_residual_detector(inst.y, spec.rank, spikes)
         cap_f, cap_dr, _, _ = threshold_ceiling(np.abs(inst.y - inst.l), spikes)
@@ -186,7 +186,7 @@ def test_criterion_7_metrics_arithmetic():
         tp, fn, fp = (int(v) for v in rng.integers(0, 200, size=3))
         truth = {(0, i) for i in range(tp + fn)}
         detected = {(0, i) for i in range(tp)} | {(1, i) for i in range(fp)}
-        m = compute_metrics(detected, truth, tp + fn + fp + 1)
+        m = compute_metrics(detected, truth)
         dr = tp / (tp + fn) if tp + fn else 1.0
         pre = tp / (tp + fp) if tp + fp else 1.0
         f = 2 * dr * pre / (dr + pre) if dr + pre else 0.0
@@ -225,7 +225,7 @@ def test_criterion_8_background_modeling(tmp_path):
         detected |= {(i, j) for i in np.flatnonzero(fg.flatten(order="F") > 0)}
         truth_set |= {(i, j) for i in np.flatnonzero(truth[j].flatten(order="F"))}
         bg_frames.append(read_pgm(out / f"background_{j:04d}.pgm").astype(int))
-    m = compute_metrics(detected, truth_set, 32 * 32 * 20)
+    m = compute_metrics(detected, truth_set)
     spread = max(np.abs(fr - bg_frames[0]).max() for fr in bg_frames)
     elapsed = time.perf_counter() - t0
     print(f"  mask F = {m.f:.3f}, background spread = {spread} levels, "

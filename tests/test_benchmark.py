@@ -60,7 +60,7 @@ class TestMetrics:
     def test_papers_arithmetic(self):
         truth = {(0, j) for j in range(10)}
         detected = {(0, j) for j in range(8)}
-        m = compute_metrics(detected, truth, 100)
+        m = compute_metrics(detected, truth)
         assert (m.tp, m.fn, m.fp) == (8, 2, 0)
         assert m.dr == pytest.approx(0.8)
         assert m.pre == pytest.approx(1.0)
@@ -68,23 +68,22 @@ class TestMetrics:
 
     def test_perfect_detection(self):
         s = {(1, 1), (2, 3)}
-        m = compute_metrics(s, s, 16)
+        m = compute_metrics(s, s)
         assert m.dr == m.pre == m.f == 1.0
 
     def test_nothing_detected_conventions(self):
-        m = compute_metrics(set(), {(0, 0)}, 4)
+        m = compute_metrics(set(), {(0, 0)})
         assert m.dr == 0.0 and m.pre == 1.0 and m.f == 0.0
 
     def test_empty_truth_conventions(self):
-        m = compute_metrics(set(), set(), 4)
+        m = compute_metrics(set(), set())
         assert m.dr == m.pre == m.f == 1.0
 
     @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))
     def test_identities_and_bounds(self, tp, fn, fp):
-        universe = tp + fn + fp + 5
         truth = {(0, i) for i in range(tp + fn)}
         detected = {(0, i) for i in range(tp)} | {(1, i) for i in range(fp)}
-        m = compute_metrics(detected, truth, universe)
+        m = compute_metrics(detected, truth)
         assert (m.tp, m.fn, m.fp) == (tp, fn, fp)
         assert 0.0 <= m.dr <= 1.0 and 0.0 <= m.pre <= 1.0 and 0.0 <= m.f <= 1.0
         assert m.f <= (m.dr + m.pre) / 2 + 1e-12

@@ -52,6 +52,21 @@ class TestAppBem:
         assert sol.support == ()
         np.testing.assert_allclose(sol.x, x_star, atol=1e-8)
 
+    def test_default_lambda_is_applied_when_lam_is_none(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(50, 3))
+        y = a @ [1.0, -2.0, 0.5] + rng.normal(0, 0.1, size=50)
+        y[[4, 20, 33]] += [9.0, -7.0, 12.0]
+        lam = default_lambda(a, y)
+        implicit = app_bem(a, y, LoireConfig())
+        explicit = app_bem(a, y, LoireConfig(lam=lam))
+        assert implicit.loire.lam == explicit.loire.lam == lam
+        assert implicit.support == explicit.support
+        for field in ("x", "b"):
+            assert np.array_equal(getattr(implicit, field), getattr(explicit, field))
+            assert np.array_equal(getattr(implicit.loire, field), getattr(explicit.loire, field))
+        assert implicit.loire.objective_trace == explicit.loire.objective_trace
+
     def test_refit_reproducible_from_support(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(15, 2))
@@ -113,6 +128,15 @@ class TestOracle:
         with pytest.raises(ValueError, match="cap"):
             bernoulli_oracle(a, rng.normal(size=60),
                              OracleConfig(t=1.0, max_support=60))
+
+    def test_enumeration_refusal_is_bounded(self):
+        # the full count over m = 5000 rows has 1506 digits; the refusal
+        # stops summing once the cap is passed
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="cap") as info:
+            bernoulli_oracle(rng.normal(size=(5000, 1)), rng.normal(size=5000),
+                             OracleConfig(t=1.0, max_support=5000))
+        assert len(str(info.value)) < 200
 
     def test_matches_planted_support_when_identifiable(self):
         # brute-force re-check: the planted support must be accepted and no

@@ -100,6 +100,17 @@ class TestRegress:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_oracle_refusal_is_bounded_on_many_rows(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        rows = [(float(v), float(2 * v)) for v in rng.uniform(size=5000)]
+        path = tmp_path / "big.csv"
+        write_csv(path, ["x", "y"], rows)
+        rc = main(["regress", str(path), "--target", "y", "--method", "oracle",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "more than 1000000 candidate supports" in err and len(err) < 200
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n1.0,oops\n")
@@ -143,6 +154,16 @@ class TestRegress:
         assert rc == 0
         slope = load_solution(out)["lad"]["x"][0]
         assert abs(slope - clean_slope) <= 0.1 * abs(clean_slope)
+
+    def test_lad_default_max_iter_is_the_loire_default(self, corrupted_fixture, tmp_path):
+        # LAD needs 1427 ADMM steps here, so baseline_lad's own cap of 5000
+        # would converge; regress caps every method at LoireConfig's 1000
+        path, _ = corrupted_fixture
+        out = tmp_path / "out"
+        assert main(["regress", str(path), "--target", "y", "--intercept",
+                     "--method", "lad", "--out", str(out)]) == 0
+        entry = load_solution(out)["lad"]
+        assert entry["iterations"] == 1000 and not entry["converged"]
 
 
 class TestSimulate:

@@ -147,7 +147,7 @@ class TestSolver:
         y = inst.l + inst.b_true
         sol = rrf_solve(y, FactorizationConfig(rank=5, lam=1.0 / 0.03, max_iter=500))
         detected = detect_matrix_support(sol.b, 1e-6 * (1 + np.abs(y).max()))
-        metrics = compute_metrics(detected, inst.true_support, y.size)
+        metrics = compute_metrics(detected, inst.true_support)
         assert metrics.f >= 0.995
 
 
@@ -209,6 +209,10 @@ class TestWarmStep:
         sol = rrf_solve(y, FactorizationConfig(rank=2, lam=1.0))
         assert sol.tol == pytest.approx(1e-7 * (1.0 + np.linalg.norm(y)), rel=1e-14)
         assert rrf_solve(y, FactorizationConfig(rank=2, lam=1.0, tol=0.5)).tol == 0.5
+
+    def test_solution_records_the_lam_it_applied(self):
+        y = _corrupted_low_rank(3, 20, 15, 2)
+        assert rrf_solve(y, FactorizationConfig(rank=2, lam=0.37)).lam == 0.37
 
 
 class TestDefaultMatrixLambda:

@@ -100,6 +100,11 @@ class TestSolver:
         with pytest.raises(ValueError):
             loire_solve(np.ones((3, 1)), np.ones(4), LoireConfig(lam=1.0))
 
+    def test_solution_records_the_lam_it_applied(self):
+        a, y = random_instance(24)
+        assert loire_solve(a, y, LoireConfig()).lam == default_lambda(a, y)
+        assert loire_solve(a, y, LoireConfig(lam=0.37)).lam == 0.37
+
     def test_max_iter_exhaustion_flags_not_converged(self):
         a, y = random_instance(23)
         sol = loire_solve(a, y, LoireConfig(lam=default_lambda(a, y), tol=1e-15,
