@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_system, least_squares_solve, range_basis, soft_threshold
+from .linalg import as_matrix, as_system, least_squares_solve, range_projector, soft_threshold
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,17 @@ def baseline_lad(a, y, rho: float = 1.0, tol: float = 1e-10,
     Non-convergence is flagged on the result, not raised.
     """
     a, y = as_system(a, y)
-    ur, sr, vr = range_basis(a)
+    project, x = range_projector(a)
     stop = tol * (1 + np.linalg.norm(y))
 
     m = y.shape[0]
-    x = np.zeros(a.shape[1])
     z = np.zeros(m)
     u = np.zeros(m)
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        x = vr.T @ ((ur.T @ (y - z + u)) / sr)
-        ax = a @ x
+        ax = y - z + u
+        project(ax)
         z_new = soft_threshold(y - ax + u, 1.0 / rho)
         r_primal = y - ax - z_new
         s_dual = rho * (z_new - z)

@@ -57,18 +57,18 @@ class BemSolution:
 
 
 def default_zero_tol(y) -> float:
-    """Support-detection cutoff 1e-6 * (1 + max |entry|) of a vector or matrix."""
+    """Support-detection cutoff 1e-6 * max |entry| of a vector or matrix."""
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0 or not np.all(np.isfinite(y)):
         raise ValueError("zero-tol rule needs a nonempty array of finite entries")
-    return 1e-6 * (1.0 + float(np.max(np.abs(y))))
+    return 1e-6 * float(np.max(np.abs(y)))
 
 
-def detect_support(sol: LoireSolution, zero_tol: float) -> tuple[int, ...]:
-    """Indices i with |b_i| > zero_tol, sorted ascending."""
+def detect_support(b: np.ndarray, zero_tol: float) -> tuple[int, ...]:
+    """Indices i with |b_i| > zero_tol in the outlier vector *b*, sorted ascending."""
     if zero_tol < 0:
         raise ValueError(f"zero_tol={zero_tol} must be nonnegative")
-    return tuple(np.flatnonzero(np.abs(sol.b) > zero_tol).tolist())
+    return tuple(np.flatnonzero(np.abs(b) > zero_tol).tolist())
 
 
 def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +104,7 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
     if zero_tol is None:
         zero_tol = default_zero_tol(y)
     stage1 = loire_solve(a, y, cfg)
-    support = detect_support(stage1, zero_tol)
+    support = detect_support(stage1.b, zero_tol)
     if len(support) == y.shape[0]:
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
     clean = np.ones(y.shape[0], dtype=bool)

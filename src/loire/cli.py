@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -48,14 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_solver_flags(sub, config):
+def _add_solver_flags(sub, config, lambda_help, tol_rule):
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="penalty weight (default: data-driven heuristic)")
+                     help=lambda_help)
     sub.add_argument("--tol", type=float, default=None,
-                     help="convergence tolerance (default: scale-aware rule)")
+                     help=f"stop when ||b_k+1 - b_k|| <= tol (default: {tol_rule})")
     sub.add_argument("--max-iter", type=int, default=config.max_iter)
     sub.add_argument("--zero-tol", type=float, default=None,
-                     help="support-detection cutoff (default: 1e-6*(1+max |y|))")
+                     help="flag entries with |b| above this (default: 1e-6*max|y|)")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--timing", choices=("wall", "none"), default="wall",
                      help="'none' writes wall_time_s as 0 for byte-reproducible reports")
@@ -76,7 +77,10 @@ def build_parser() -> _Parser:
                        help="residual radius t for the oracle (default: from appBEM fit)")
     p_reg.add_argument("--max-support", type=int, default=None,
                        help="oracle support-size cap (default: m)")
-    _add_solver_flags(p_reg, LoireConfig)
+    _add_solver_flags(p_reg, LoireConfig,
+                      "penalty weight; the shrink threshold is 1/lambda (default: "
+                      "1/lambda = 1.4826*max(3*median|r|, 0.1*median|y-median(y)|) "
+                      "on the least-squares residual r)", "1e-10*||y||")
 
     p_sim = sub.add_parser("simulate", help="synthetic corruption benchmark")
     p_sim.add_argument("--n", default="100", help="comma list of square dimensions")
@@ -90,14 +94,17 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--lambda-mult", type=float, default=1.0,
                        help="multiplier on the heuristic matrix lambda")
     p_sim.add_argument("--method", default="rrf")
-    _add_solver_flags(p_sim, FactorizationConfig)
+    _add_solver_flags(p_sim, FactorizationConfig,
+                      "penalty weight (default: lambda-mult*sqrt(N)/||Y||_F)", "1e-7*||Y||_F")
 
     p_bg = sub.add_parser("bgmodel", help="background/foreground split of a PGM sequence")
     p_bg.add_argument("frames", help="glob pattern matching the input PGM frames")
     p_bg.add_argument("--rank", type=int, default=1,
                       help="background rank (1 static, ~3 for illumination changes)")
     p_bg.add_argument("--lambda-mult", type=float, default=1.0)
-    _add_solver_flags(p_bg, FactorizationConfig)
+    _add_solver_flags(p_bg, FactorizationConfig,
+                      "penalty weight (default: lambda-mult*sqrt(max(m, n))/||Y||_F of the "
+                      "pixels x frames matrix)", "1e-7*||Y||_F")
 
     p_ver = sub.add_parser("version", help="print version")
     p_ver.add_argument("--json", action="store_true", dest="as_json")
@@ -107,7 +114,11 @@ def build_parser() -> _Parser:
 
 
 def _read_regression_csv(path: str, target: str, intercept: bool):
-    """Parse the CSV into (A, y, predictor names); raises DataError with line numbers."""
+    """Parse the CSV into (A, y, predictor names); raises DataError with line numbers.
+
+    The data rows are parsed in bulk; when that fails they are read again row
+    by row, which names the offending line.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -119,21 +130,19 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
             if target not in header:
                 raise DataError(f"{path}: target column {target!r} not in header {header}")
             t_idx = header.index(target)
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-                try:
-                    rows.append([float(c) for c in row])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric field in {row}")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt only warns on no rows
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except (ValueError, UserWarning):
+                data = None
+            if data is None or data.shape[1] != len(header):
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                data = _read_rows(reader, path, len(header))
     except OSError as exc:
         raise DataError(f"{path}: {exc}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows)
     y = data[:, t_idx]
     a = np.delete(data, t_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != t_idx]
@@ -141,6 +150,23 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
         a = np.hstack([a, np.ones((a.shape[0], 1))])
         names.append("(intercept)")
     return a, y, names
+
+
+def _read_rows(reader, path: str, width: int) -> np.ndarray:
+    """The data rows after the header, one at a time; blank rows are skipped."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(c) for c in row])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric field in {row}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(rows)
 
 
 def _wall(t0: float, timing: str) -> float:
@@ -166,7 +192,7 @@ def _regress_one(method: str, a, y, args):
     if method in ("loire", "appbem"):
         if method == "loire":
             stage1 = sol = loire_solve(a, y, cfg)
-            support = list(detect_support(sol, zero_tol))
+            support = list(detect_support(sol.b, zero_tol))
         else:
             sol = app_bem(a, y, cfg, zero_tol)
             stage1, support = sol.loire, list(sol.support)
@@ -183,7 +209,7 @@ def _regress_one(method: str, a, y, args):
         res = baseline_lad(a, y, max_iter=args.max_iter)
         x = res.x
         b = y - a @ x
-        support = [int(i) for i in np.flatnonzero(np.abs(b) > zero_tol)]
+        support = list(detect_support(b, zero_tol))
         iterations, converged = res.iterations, res.converged
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
@@ -312,14 +338,18 @@ def cmd_bgmodel(args) -> int:
 
     background = sol.low_rank()
     fg = np.abs(sol.b)
-    scale = float(np.percentile(fg, 99.0))
-    fg_scaled = np.clip(fg * (255.0 / scale), 0, 255) if scale > 0 else np.zeros_like(fg)
+    # scaled by the 99th percentile of the nonzero |B| only: over all pixels it
+    # is 0 whenever the foreground covers under 1% of them, which blanked every frame
+    moving = fg[fg > 0]
+    if moving.size:
+        fg *= 255.0 / float(np.percentile(moving, 99.0))
+        np.clip(fg, 0, 255, out=fg)
 
     os.makedirs(args.out, exist_ok=True)
     for j in range(stack.frames):
         bg_frame = np.clip(np.rint(stack.column_to_frame(background[:, j])), 0, 255)
         write_pgm(os.path.join(args.out, f"background_{j:04d}.pgm"), bg_frame.astype(np.uint8))
-        fg_frame = np.rint(stack.column_to_frame(fg_scaled[:, j]))
+        fg_frame = np.rint(stack.column_to_frame(fg[:, j]))
         write_pgm(os.path.join(args.out, f"foreground_{j:04d}.pgm"), fg_frame.astype(np.uint8))
     timing = {
         "frames": stack.frames,

@@ -20,19 +20,21 @@ from .linalg import _shrink_project, as_matrix, truncated_svd
 class FactorizationConfig:
     """Target rank, penalty weight, and stopping rule.
 
+    lam=None sets the threshold 1/lam from the residual of the first rank-r
+    SVD fit, by the rule of loire.default_lambda (see linalg._mad_lambda).
     tol bounds ||B_{k+1} - B_k||_F at convergence; None selects the default
-    1e-7 * (1 + ||Y||_F).
+    1e-7 * ||Y||_F.
     """
 
     rank: int
-    lam: float
+    lam: float | None = None
     tol: float | None = None
     max_iter: int = 500
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank={self.rank} must be at least 1")
-        if self.lam <= 0:
+        if self.lam is not None and self.lam <= 0:
             raise ValueError(f"lam={self.lam} must be positive")
         if self.tol is not None and self.tol <= 0:
             raise ValueError(f"tol={self.tol} must be positive")
@@ -102,7 +104,7 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     y = as_matrix(y)
     if cfg.rank > min(y.shape):
         raise ValueError(f"rank={cfg.rank} out of range [1, {min(y.shape)}] for shape {y.shape}")
-    tol = cfg.tol if cfg.tol is not None else 1e-7 * (1.0 + float(np.linalg.norm(y)))
+    tol = cfg.tol if cfg.tol is not None else 1e-7 * float(np.linalg.norm(y))
 
     a_fac = x_fac = None
 
@@ -116,7 +118,8 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
         # res <- A X, written through its transpose so BLAS fills it directly
         np.matmul(x_fac.T, a_fac.T, out=res.T)
 
-    b, trace, iterations, converged = _shrink_project(y, project, cfg.lam, tol, cfg.max_iter)
+    b, trace, iterations, converged, lam = _shrink_project(y, project, cfg.lam, tol,
+                                                           cfg.max_iter)
     return FactorizationSolution(a=a_fac, x=x_fac, b=b, objective_trace=trace,
                                  iterations=iterations, converged=converged, tol=tol,
-                                 lam=cfg.lam)
+                                 lam=lam)

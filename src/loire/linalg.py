@@ -81,35 +81,92 @@ def truncated_svd(a, r: int) -> TruncatedSvd:
                         vt=np.asfortranarray(vt[:r]))
 
 
-def range_basis(a: np.ndarray):
-    """Thin SVD factors (u_r, sigma_r, vt_r) of the numerical range of *a*.
+def range_projector(a: np.ndarray):
+    """Projector onto the numerical range of *a*, from one thin SVD.
 
     Directions with singular value at most max(m, n) * eps * sigma_max are
-    dropped, the rule of `least_squares_solve`, so u_r u_rᵀ projects onto
-    the range and vt_rᵀ ((u_rᵀ z) / sigma_r) is the minimum-norm fit of z.
+    dropped, the rule of `least_squares_solve`.  Returns (project, x):
+    project(res) overwrites res with A x, where x = vt_rᵀ ((u_rᵀ res) / sigma_r)
+    is the minimum-norm fit of res, and leaves that fit in the array x.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
-    return u[:, keep], s[keep], vt[keep]
+    ur, sr, vr = u[:, keep], s[keep], vt[keep]
+    coef = np.empty(sr.shape[0])
+    x = np.zeros(a.shape[1])
+
+    def project(res):
+        np.matmul(ur.T, res, out=coef)
+        np.divide(coef, sr, out=coef)
+        np.matmul(vr.T, coef, out=x)
+        np.matmul(a, x, out=res)
+
+    return project, x
 
 
-def _shrink_project(y: np.ndarray, project, lam: float, tol: float, max_iter: int):
+# 1/lam = MAD_NORMAL * max(MAD_C * median|r|, MAD_FLOOR * median|y - median(y)|)
+# on the residual r = y - P(y) of the first projection (Hampel's robust scale)
+MAD_NORMAL = 1.4826
+MAD_C = 3.0
+MAD_FLOOR = 0.1
+
+
+def _median(flat: np.ndarray) -> float:
+    """Median of the 1-d array *flat*, which it partitions in place."""
+    h = flat.size // 2
+    if flat.size % 2:
+        flat.partition(h)
+        return float(flat[h])
+    flat.partition((h - 1, h))
+    return 0.5 * (float(flat[h - 1]) + float(flat[h]))
+
+
+def _mad_lambda(y: np.ndarray, res: np.ndarray, scratch: np.ndarray) -> float:
+    """The default penalty weight from the first residual *res* = y - P(y).
+
+    The threshold 1/lam is MAD_NORMAL * max(MAD_C * median|res|,
+    MAD_FLOOR * median|y - median(y)|): the uncentred median because the
+    shrink thresholds about 0, the floor for noiseless or exactly fitted
+    data.  When both terms are 0 the threshold is MAD_NORMAL * MAD_FLOOR *
+    max|y|, and lam = 1 when that is 0 too (y = 0) or 1/threshold overflows.
+    Every median is taken in *scratch*, an array of y's layout that is
+    overwritten.
+    """
+    flat = scratch.ravel(order="K")  # a view: scratch keeps y's layout
+    np.abs(res, out=scratch)
+    spread = MAD_C * _median(flat)
+    np.copyto(scratch, y)
+    np.subtract(y, _median(flat), out=scratch)
+    np.abs(scratch, out=scratch)
+    thresh = MAD_NORMAL * max(spread, MAD_FLOOR * _median(flat))
+    if thresh == 0.0:
+        np.abs(y, out=scratch)
+        thresh = MAD_NORMAL * MAD_FLOOR * float(scratch.max())
+    lam = 1.0 / thresh if thresh > 0.0 else 1.0
+    return lam if math.isfinite(lam) else 1.0
+
+
+def _shrink_project(y: np.ndarray, project, lam: float | None, tol: float, max_iter: int):
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
-    *project(res)* overwrites res with P(res).  Besides y the loop holds three
-    arrays of y's layout (b, b_new, one residual) and computes the shrink, the
-    objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2 and ||Δb|| in place.
-    Returns (b, objective trace, iterations, converged).
+    *project(res)* overwrites res with P(res).  lam=None applies
+    `_mad_lambda` to the first residual y - P(y).  Besides y the loop holds
+    three arrays of y's layout (b, b_new, one residual) and computes the
+    shrink, the objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2 and ||Δb||
+    in place.  Returns (b, objective trace, iterations, converged, lam).
     """
     b = np.zeros_like(y)
     b_new = np.empty_like(y)
     res = np.empty_like(y)
     trace: list[float] = []
-    thresh = 1.0 / lam
+    thresh = None if lam is None else 1.0 / lam
     for it in range(1, max_iter + 1):
         np.subtract(y, b, out=res)
         project(res)
         np.subtract(y, res, out=res)
+        if thresh is None:
+            lam = _mad_lambda(y, res, b_new)  # b_new is free until the shrink
+            thresh = 1.0 / lam
         # b_new <- sign(res) max(|res| - thresh, 0), without -0.0
         np.abs(res, out=b_new)
         b_new -= thresh
@@ -125,8 +182,8 @@ def _shrink_project(y: np.ndarray, project, lam: float, tol: float, max_iter: in
         delta = math.sqrt(float(np.dot(flat, flat)))
         b, b_new = b_new, b
         if delta <= tol:
-            return b, trace, it, True
-    return b, trace, max_iter, False
+            return b, trace, it, True, lam
+    return b, trace, max_iter, False, lam
 
 
 def soft_threshold(v, tau: float):

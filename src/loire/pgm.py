@@ -38,10 +38,12 @@ def read_pgm(path) -> np.ndarray:
             raise PgmError(f"{path}: truncated PGM header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace byte after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise PgmError(f"{path}: malformed PGM header") from exc
+    # ASCII digits only: int() would also take a sign, "_" or other scripts
+    if not all(t.isdigit() for t in tokens):
+        raise PgmError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(t) for t in tokens)
+    if width < 1 or height < 1:
+        raise PgmError(f"{path}: frame is {width}x{height}; both sides must be at least 1")
     if maxval != 255:
         raise PgmError(f"{path}: only 8-bit PGM supported (maxval={maxval})")
     expected = width * height

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (_shrink_project, as_matrix, as_system, as_vector, least_squares_solve,
-                     range_basis)
+from .linalg import _shrink_project, as_matrix, as_system, as_vector, range_projector
 
 
 @dataclass(frozen=True)
@@ -20,10 +19,10 @@ class LoireConfig:
     """Solver settings.
 
     lam is the quadratic penalty weight (the shrinkage threshold is 1/lam);
-    None selects default_lambda(A, y).  tol bounds ||b_{k+1} - b_k||_2 at
-    convergence; None selects the default 1e-10 * (1 + ||y||_2), tight
-    enough that the lasso subgradient certificate holds to 1e-6 at the
-    returned point.
+    None selects default_lambda(A, y), computed inside the solve.  tol
+    bounds ||b_{k+1} - b_k||_2 at convergence; None selects the default
+    1e-10 * ||y||_2, tight enough that the lasso subgradient certificate
+    holds to 1e-6 at the returned point.
     """
 
     lam: float | None = None
@@ -63,13 +62,15 @@ def loire_objective(a, y, x, b, lam: float) -> float:
 
 
 def default_lambda(a, y) -> float:
-    """Heuristic penalty weight 1 / median(|y - A x_ls|), clamped to [1e-6, 1e6]."""
-    a, y = as_system(a, y)
-    resid = np.abs(y - a @ least_squares_solve(a, y))
-    med = float(np.median(resid))
-    if med <= 1e-300:
-        return 1e6
-    return float(np.clip(1.0 / med, 1e-6, 1e6))
+    """The penalty weight a solve with lam=None applies.
+
+    1/lam = 1.4826 * max(3 median|r|, 0.1 median|y - median(y)|) on the
+    least-squares residual r = y - A pinv(A) y (see linalg._mad_lambda), so
+    lam scales as 1/s when (A, y) is scaled by s.  Computed by one solver
+    step, through the projector the solve uses, so it equals
+    loire_solve(a, y, LoireConfig()).lam exactly.
+    """
+    return loire_solve(a, y, LoireConfig(max_iter=1)).lam
 
 
 def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
@@ -81,19 +82,9 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    lam = cfg.lam if cfg.lam is not None else default_lambda(a, y)
-    tol = cfg.tol if cfg.tol is not None else 1e-10 * (1.0 + float(np.linalg.norm(y)))
-    ur, sr, vr = range_basis(a)
-    coef = np.empty(sr.shape[0])
-    x = np.zeros(a.shape[1])
-
-    def project(res):
-        # res <- A x with x = pinv(A) res: the projection onto the range of A
-        np.matmul(ur.T, res, out=coef)
-        np.divide(coef, sr, out=coef)
-        np.matmul(vr.T, coef, out=x)
-        np.matmul(a, x, out=res)
-
-    b, trace, iterations, converged = _shrink_project(y, project, lam, tol, cfg.max_iter)
+    tol = cfg.tol if cfg.tol is not None else 1e-10 * float(np.linalg.norm(y))
+    project, x = range_projector(a)
+    b, trace, iterations, converged, lam = _shrink_project(y, project, cfg.lam, tol,
+                                                           cfg.max_iter)
     return LoireSolution(x=x, b=b, objective_trace=trace, iterations=iterations,
                          converged=converged, tol=tol, lam=lam)

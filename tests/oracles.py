@@ -91,12 +91,12 @@ def rrf_full_svd_alternation(y, rank, lam, tol=None, max_iter=500):
 
     Alternates the best rank-*rank* fit of Y - B (numpy's SVD, no warm
     start) with B <- sign(R) max(|R| - 1/lam, 0) on R = Y - A X, from B = 0,
-    until ||B_new - B||_F <= tol (default 1e-7 (1 + ||Y||_F)).  Returns the
+    until ||B_new - B||_F <= tol (default 1e-7 ||Y||_F).  Returns the
     objective ||B||_1 + (lam/2) ||Y - A X - B||_F^2 of the last iterate.
     """
     y = np.asarray(y, dtype=np.float64)
     if tol is None:
-        tol = 1e-7 * (1.0 + np.linalg.norm(y))
+        tol = 1e-7 * np.linalg.norm(y)
     b = np.zeros_like(y)
     for _ in range(max_iter):
         u, s, vt = np.linalg.svd(y - b, full_matrices=False)
@@ -115,14 +115,14 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
 
     From b = 0, alternates x <- lstsq(A, y - b) (numpy's minimum-norm solve)
     with b <- sign(r) max(|r| - 1/lam, 0) on r = y - A x, until
-    ||b_new - b||_2 <= tol (default 1e-10 (1 + ||y||_2)).  Returns
+    ||b_new - b||_2 <= tol (default 1e-10 ||y||_2).  Returns
     (x, b, objective trace, iterations, converged), the objective being
     ||b||_1 + (lam/2) ||y - A x - b||_2^2 after each iteration.
     """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if tol is None:
-        tol = 1e-10 * (1.0 + np.linalg.norm(y))
+        tol = 1e-10 * np.linalg.norm(y)
     b = np.zeros_like(y)
     trace = []
     for it in range(1, max_iter + 1):

@@ -118,6 +118,22 @@ class TestRegress:
         assert rc == 2
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n3,4.5\n",                 # bulk parse
+        "x,y\r\n1,2\r\n3,4.5\r\n",
+        "x,y\n1,2\n\n , \n3,4.5\n",          # blank rows: row-by-row read
+        'x,y\n"1",2\n3,"4.5"\n',
+    ])
+    def test_csv_layouts_read_alike(self, tmp_path, text):
+        path = tmp_path / "layout.csv"
+        path.write_bytes(text.encode("ascii"))
+        out = tmp_path / "out"
+        assert main(["regress", str(path), "--target", "y", "--method", "ols",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["predictors"] == ["x"]
+        assert doc["methods"][0]["x"] == pytest.approx([1.55])  # (1*2 + 3*4.5) / (1 + 9)
+
     def test_missing_target_column(self, outlier_csv, tmp_path):
         rc = main(["regress", str(outlier_csv), "--target", "nope",
                    "--out", str(tmp_path)])
@@ -257,6 +273,24 @@ class TestBgmodel:
         assert len(warnings) == 1 and "bgmodel" in warnings[0]
         with open(tmp_path / "capped" / "timing.json") as fh:
             assert not json.load(fh)["converged"]
+
+    def test_small_foreground_is_visible(self, tmp_path):
+        # a 3x3 square is 0.56% of a 40x40 frame, so the 99th percentile of
+        # |B| over all pixels is 0; the scale comes from the nonzero |B|
+        rng = np.random.default_rng(2)
+        background = rng.integers(40, 120, size=(40, 40)).astype(np.uint8)
+        for j in range(10):
+            frame = background.copy()
+            frame[3 * j:3 * j + 3, 3 * j:3 * j + 3] = 250
+            write_pgm(tmp_path / f"frame_{j:03d}.pgm", frame)
+        out = tmp_path / "out"
+        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--lambda", "0.1",
+                     "--out", str(out)]) == 0
+        for j in range(10):
+            fg = read_pgm(out / f"foreground_{j:04d}.pgm")
+            square = np.zeros((40, 40), dtype=bool)
+            square[3 * j:3 * j + 3, 3 * j:3 * j + 3] = True
+            assert np.array_equal(fg > 0, square)
 
     def test_dimension_mismatch_names_offending_file(self, tmp_path, capsys):
         write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))

@@ -207,7 +207,7 @@ class TestWarmStep:
     def test_solution_records_the_tol_it_applied(self):
         y = _corrupted_low_rank(3, 20, 15, 2)
         sol = rrf_solve(y, FactorizationConfig(rank=2, lam=1.0))
-        assert sol.tol == pytest.approx(1e-7 * (1.0 + np.linalg.norm(y)), rel=1e-14)
+        assert sol.tol == pytest.approx(1e-7 * np.linalg.norm(y), rel=1e-14)
         assert rrf_solve(y, FactorizationConfig(rank=2, lam=1.0, tol=0.5)).tol == 0.5
 
     def test_solution_records_the_lam_it_applied(self):

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loire import FrameStack, PgmError, read_pgm, write_pgm
 
@@ -42,6 +45,36 @@ class TestPgmIo:
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(PgmError, match="8-bit"):
             read_pgm(p)
+
+
+    @pytest.mark.parametrize("dims", [b"-2 -3", b"0 4", b"4 0", b"1_0 2", b"+3 2", b" 3 2x"])
+    def test_rejects_bad_dimensions(self, tmp_path, dims):
+        p = tmp_path / "g.pgm"
+        p.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 64)
+        with pytest.raises(PgmError):
+            read_pgm(p)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_corrupt_header_raises_pgm_error_or_keeps_declared_shape(self, tmp_path_factory,
+                                                                      data):
+        height, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        header = f"P5\n{width} {height}\n255\n".encode("ascii")
+        raw = bytearray(header + bytes(range(height * width)))
+        if data.draw(st.booleans()):
+            del raw[data.draw(st.integers(0, len(raw) - 1)):]
+        else:
+            raw[data.draw(st.integers(0, len(header) - 1))] ^= data.draw(st.integers(1, 255))
+        p = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        p.write_bytes(bytes(raw))
+        try:
+            frame = read_pgm(p)
+        except PgmError:
+            return
+        assert frame.dtype == np.uint8 and min(frame.shape) >= 1
+        declared = re.match(rb"P5\s+(\d+)\s+(\d+)\s+255\s", bytes(raw))
+        if declared:
+            assert frame.shape == (int(declared[2]), int(declared[1]))
 
 
 class TestFrameStack:

@@ -106,9 +106,10 @@ class TestSolver:
         assert loire_solve(a, y, LoireConfig(lam=0.37)).lam == 0.37
 
     def test_max_iter_exhaustion_flags_not_converged(self):
+        # pure noise: the default lam leaves b = 0 and converges at step 1,
+        # so a threshold of 1 (y has scale 3) keeps the shrink active
         a, y = random_instance(23)
-        sol = loire_solve(a, y, LoireConfig(lam=default_lambda(a, y), tol=1e-15,
-                                            max_iter=2))
+        sol = loire_solve(a, y, LoireConfig(lam=1.0, tol=1e-15, max_iter=2))
         assert not sol.converged
         assert sol.iterations == 2
 
@@ -146,7 +147,7 @@ class TestSolver:
             a = rng.normal(size=(m, n))
             y = a @ rng.normal(size=n) + rng.normal(size=m)
             lam = default_lambda(a, y)
-            tol = 1e-10 * (1.0 + np.linalg.norm(y))
+            tol = 1e-10 * np.linalg.norm(y)
             sol = loire_solve(a, y, LoireConfig(lam=lam))
             assert sol.converged
             x2 = least_squares_solve(a, y - sol.b)
@@ -184,9 +185,11 @@ class TestSolver:
 
 class TestDefaultLambda:
     def test_clamped_on_exact_fit(self):
-        # zero residual pushes the heuristic to the upper clamp
+        # zero residual and a constant y: both MAD terms are 0, so the
+        # threshold falls back to 1.4826 * 0.1 * max|y|, with no clamp
         a = np.ones((3, 1))
-        assert default_lambda(a, [2.0, 2.0, 2.0]) == pytest.approx(1e6)
+        assert default_lambda(a, [2.0, 2.0, 2.0]) == pytest.approx(1.0 / (1.4826 * 0.1 * 2.0))
+        assert default_lambda(a, [0.0, 0.0, 0.0]) == 1.0
 
     def test_scales_with_residual(self):
         rng = np.random.default_rng(0)
@@ -194,7 +197,20 @@ class TestDefaultLambda:
         y = rng.normal(size=50)
         lam = default_lambda(a, y)
         resid = np.abs(y - a @ least_squares_solve(a, y))
-        assert lam == pytest.approx(1.0 / np.median(resid))
+        spread = np.median(np.abs(y - np.median(y)))
+        assert 3 * np.median(resid) > 0.1 * spread
+        assert lam == pytest.approx(1.0 / (1.4826 * 3 * np.median(resid)))
+
+    def test_floor_on_exact_fit(self):
+        # y in the range of A: the residual term is rounding noise, so the
+        # floor 0.1 * 1.4826 * median|y - median(y)| sets the threshold
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(21, 3))
+        y = a @ rng.normal(size=3)
+        floor = 0.1 * 1.4826 * np.median(np.abs(y - np.median(y)))
+        assert default_lambda(a, y) == pytest.approx(1.0 / floor, rel=1e-12)
+        sol = loire_solve(a, y, LoireConfig())
+        assert sol.converged and sol.iterations == 1 and not np.any(sol.b)
 
 
 def _with_outliers(rng, m, n):
@@ -232,7 +248,7 @@ class TestInPlaceLoop:
     @pytest.mark.parametrize("name", LOOP_CASES)
     def test_matches_plain_alternation(self, name):
         a, y, lam = _loop_case(name)
-        tol = 1e-10 * (1.0 + np.linalg.norm(y))
+        tol = 1e-10 * np.linalg.norm(y)
         sol = loire_solve(a, y, LoireConfig(lam=lam))
         x_ref, b_ref, _, iterations, converged = loire_plain_alternation(a, y, lam, tol)
         assert (sol.iterations, sol.converged) == (iterations, converged)

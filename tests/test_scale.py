@@ -1,0 +1,134 @@
+"""Units and degenerate inputs at the default lam=None.
+
+Scaling the data by s must scale every output by s with the same support,
+for s = 10^k far outside [1e-6, 1e6]; degenerate shapes must give a finite
+lam and a clear error or a flagged result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from loire import (FactorizationConfig, LoireConfig, app_bem, default_lambda,
+                   default_zero_tol, detect_matrix_support, loire_solve, rrf_solve)
+
+SEEDS = st.integers(0, 2**32 - 1)
+POWERS = st.integers(-150, 150)
+
+
+def _planted_regression(seed):
+    # m <= 40 rows, so ||r||^2 stays finite at s = 1e150
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(20, 41)), int(rng.integers(1, 4))
+    a = rng.normal(size=(m, n))
+    y = a @ rng.normal(size=n) + 0.1 * rng.normal(size=m)
+    rows = rng.choice(m, size=1 + m // 20, replace=False)
+    y[rows] += rng.choice([-1.0, 1.0], size=rows.size) * rng.uniform(20.0, 40.0, size=rows.size)
+    return a, y
+
+
+def _planted_low_rank(seed):
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(6, 41, size=2))
+    r = int(rng.integers(1, min(m, n) // 3 + 1))
+    y = rng.uniform(size=(m, r)) @ rng.uniform(size=(r, n)) * 3 + 0.05 * rng.normal(size=(m, n))
+    spikes = rng.random((m, n)) < 0.05
+    return y + np.where(spikes, rng.uniform(5.0, 10.0, (m, n)), 0.0), r
+
+
+def _close(scaled, base, s):
+    """scaled == s * base up to rounding relative to the array's norm."""
+    return np.linalg.norm(scaled / s - base) <= 1e-7 * max(np.linalg.norm(base), 1e-300)
+
+
+class TestScaleEquivariance:
+    @settings(deadline=None)
+    @given(SEEDS, POWERS)
+    def test_app_bem_scales_with_y(self, seed, k):
+        a, y = _planted_regression(seed)
+        s = 10.0 ** k
+        base = app_bem(a, y, LoireConfig())
+        scaled = app_bem(a, s * y, LoireConfig())
+        assert scaled.support == base.support
+        assert _close(scaled.x, base.x, s) and _close(scaled.b, base.b, s)
+        assert scaled.loire.lam * s == pytest.approx(base.loire.lam, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [-150, -20, 0, 20, 150])
+    def test_planted_outlier_found_at_every_scale(self, k):
+        # a 30x3 problem with one outlier; a stopping rule with an absolute
+        # part (tol = 1e-10 (1 + ||y||)) stopped the solve at step 1 for k <= -20
+        rng = np.random.default_rng(30)
+        a = rng.normal(size=(30, 3))
+        y = a @ rng.normal(size=3) + 0.1 * rng.normal(size=30)
+        y[7] += 25.0
+        s = 10.0 ** k
+        sol = app_bem(a, s * y, LoireConfig())
+        assert sol.support == (7,) and sol.loire.converged
+        assert sol.b[7] / s == pytest.approx(y[7] - a[7] @ sol.x / s, rel=1e-9)
+
+    @settings(deadline=None)
+    @given(SEEDS, POWERS)
+    def test_app_bem_scales_with_a_and_y(self, seed, k):
+        a, y = _planted_regression(seed)
+        s = 10.0 ** k
+        base = app_bem(a, y, LoireConfig())
+        scaled = app_bem(s * a, s * y, LoireConfig())
+        assert scaled.support == base.support
+        assert _close(scaled.x, base.x, 1.0) and _close(scaled.b, base.b, s)
+
+    @settings(deadline=None)
+    @given(SEEDS, POWERS)
+    def test_rrf_solve_scales_with_y(self, seed, k):
+        y, r = _planted_low_rank(seed)
+        s = 10.0 ** k
+        base = rrf_solve(y, FactorizationConfig(rank=r))
+        assume(base.converged)  # a few instances need more than max_iter steps
+        scaled = rrf_solve(s * y, FactorizationConfig(rank=r))
+        assert scaled.converged
+        assert _close(scaled.low_rank(), base.low_rank(), s) and _close(scaled.b, base.b, s)
+        assert detect_matrix_support(scaled.b, default_zero_tol(s * y)) \
+            == detect_matrix_support(base.b, default_zero_tol(y))
+
+
+class TestDegenerateInputs:
+    @settings(deadline=None)
+    @given(SEEDS)
+    def test_wide_system_is_an_exact_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 10))
+        a = rng.normal(size=(m, m + int(rng.integers(1, 5))))
+        y = 10.0 * rng.normal(size=m)
+        lam = default_lambda(a, y)
+        assert math.isfinite(lam) and lam > 0
+        sol = app_bem(a, y, LoireConfig())
+        assert sol.support == () and sol.loire.converged
+        assert np.linalg.norm(a @ sol.x - y) <= 1e-9 * np.linalg.norm(y)
+
+    @settings(deadline=None)
+    @given(SEEDS)
+    def test_duplicated_column_flags_the_same_rows(self, seed):
+        a, y = _planted_regression(seed)
+        doubled = np.column_stack([a, a[:, :1]])
+        assert math.isfinite(default_lambda(doubled, y))
+        sol = app_bem(doubled, y, LoireConfig())
+        assert sol.support == app_bem(a, y, LoireConfig()).support
+        assert np.all(np.isfinite(sol.x)) and sol.loire.converged
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 7), (30, 30)])
+    def test_all_zero_data(self, shape):
+        sol = rrf_solve(np.zeros(shape), FactorizationConfig(rank=min(shape)))
+        assert sol.lam == 1.0 and sol.converged and sol.iterations == 1
+        assert not np.any(sol.b)
+        m, n = shape
+        reg = loire_solve(np.ones((m, n)), np.zeros(m), LoireConfig())
+        assert reg.lam == 1.0 and reg.converged and not np.any(reg.b)
+
+    @settings(deadline=None)
+    @given(SEEDS)
+    def test_full_rank_factorization_is_an_exact_fit(self, seed):
+        y, _ = _planted_low_rank(seed)
+        sol = rrf_solve(y, FactorizationConfig(rank=min(y.shape)))
+        assert math.isfinite(sol.lam) and sol.lam > 0 and sol.converged
+        assert detect_matrix_support(sol.b, default_zero_tol(y)) == set()
