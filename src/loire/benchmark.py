@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_system, least_squares_solve, range_projector, soft_threshold
+from .linalg import (_mad_lambda, as_matrix, as_system, data_norm, least_squares_solve,
+                     range_projector, soft_threshold)
 
 
 @dataclass(frozen=True)
@@ -110,36 +111,35 @@ class LadSolution:
     converged: bool
 
 
-def baseline_lad(a, y, rho: float = 1.0, tol: float = 1e-10,
-                 max_iter: int = 5000) -> LadSolution:
+def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     """Least-absolute-deviations fit min_x ||y - A x||_1 by ADMM splitting.
 
-    Splits z = y - A x; the x-update is a least-squares solve against the
-    cached pseudoinverse, the z-update a soft threshold with 1/rho.
+    Splits z = y - A x; the x-update is a least-squares fit through the
+    range projector, the z-update a soft threshold at 1/rho.  rho is the
+    default penalty weight of the loire solvers (linalg._mad_lambda) on the
+    first least-squares residual y - P(y), and the run stops when ||r|| and
+    ||Δz|| are both at most 1e-10 ||y||, so scaling y by s scales x by s.
     Non-convergence is flagged on the result, not raised.
     """
     a, y = as_system(a, y)
+    stop = 1e-10 * data_norm(y)
     project, x = range_projector(a)
-    stop = tol * (1 + np.linalg.norm(y))
-
-    m = y.shape[0]
-    z = np.zeros(m)
-    u = np.zeros(m)
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
+    z = np.zeros_like(y)
+    u = np.zeros_like(y)
+    thresh = None
+    for it in range(1, max_iter + 1):
         ax = y - z + u
         project(ax)
-        z_new = soft_threshold(y - ax + u, 1.0 / rho)
+        v = y - ax + u
+        if thresh is None:  # z = u = 0, so v is the least-squares residual
+            thresh = 1.0 / _mad_lambda(y, v, np.empty_like(y))
+        z_new = soft_threshold(v, thresh)
         r_primal = y - ax - z_new
-        s_dual = rho * (z_new - z)
-        z = z_new
         u = u + r_primal
-        iterations += 1
-        if np.linalg.norm(r_primal) <= stop and np.linalg.norm(s_dual) <= stop:
-            converged = True
-            break
-    return LadSolution(x=x, iterations=iterations, converged=converged)
+        if np.linalg.norm(r_primal) <= stop and np.linalg.norm(z_new - z) <= stop:
+            return LadSolution(x=x, iterations=it, converged=True)
+        z = z_new
+    return LadSolution(x=x, iterations=max_iter, converged=False)
 
 
 REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations",

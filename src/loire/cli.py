@@ -23,7 +23,7 @@ from .benchmark import (BenchmarkReport, REPORT_COLUMNS, SimSpec, baseline_lad,
 from .bernoulli import (AllRowsOutliers, InfeasibleRadius, OracleConfig, app_bem,
                         bernoulli_oracle, default_zero_tol, detect_support,
                         enumeration_count)
-from .factorization import FactorizationConfig, default_matrix_lambda, rrf_solve
+from .factorization import FactorizationConfig, rrf_solve
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
 from .regression import LoireConfig, loire_solve
 
@@ -49,14 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_solver_flags(sub, config, lambda_help, tol_rule):
+def _add_solver_flags(sub, config, tol_rule):
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help=lambda_help)
+                     help="penalty weight; the shrink threshold is 1/lambda (default: "
+                     "1/lambda = 1.4826*max(3*median|r|, 0.1*median|y-median(y)|) on the "
+                     "residual r of the first least-squares or rank-r fit)")
     sub.add_argument("--tol", type=float, default=None,
                      help=f"stop when ||b_k+1 - b_k|| <= tol (default: {tol_rule})")
     sub.add_argument("--max-iter", type=int, default=config.max_iter)
-    sub.add_argument("--zero-tol", type=float, default=None,
-                     help="flag entries with |b| above this (default: 1e-6*max|y|)")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--timing", choices=("wall", "none"), default="wall",
                      help="'none' writes wall_time_s as 0 for byte-reproducible reports")
@@ -77,10 +77,7 @@ def build_parser() -> _Parser:
                        help="residual radius t for the oracle (default: from appBEM fit)")
     p_reg.add_argument("--max-support", type=int, default=None,
                        help="oracle support-size cap (default: m)")
-    _add_solver_flags(p_reg, LoireConfig,
-                      "penalty weight; the shrink threshold is 1/lambda (default: "
-                      "1/lambda = 1.4826*max(3*median|r|, 0.1*median|y-median(y)|) "
-                      "on the least-squares residual r)", "1e-10*||y||")
+    _add_solver_flags(p_reg, LoireConfig, "1e-10*||y||")
 
     p_sim = sub.add_parser("simulate", help="synthetic corruption benchmark")
     p_sim.add_argument("--n", default="100", help="comma list of square dimensions")
@@ -91,20 +88,16 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--density", type=float, default=0.05)
     p_sim.add_argument("--amplitude", type=float, default=10.0)
     p_sim.add_argument("--dense-scale", type=float, default=2.0)
-    p_sim.add_argument("--lambda-mult", type=float, default=1.0,
-                       help="multiplier on the heuristic matrix lambda")
-    p_sim.add_argument("--method", default="rrf")
-    _add_solver_flags(p_sim, FactorizationConfig,
-                      "penalty weight (default: lambda-mult*sqrt(N)/||Y||_F)", "1e-7*||Y||_F")
+    _add_solver_flags(p_sim, FactorizationConfig, "1e-7*||Y||_F")
+    for p in (p_reg, p_sim):  # bgmodel reports |B| itself, not a support
+        p.add_argument("--zero-tol", type=float, default=None,
+                       help="flag entries with |b| above this (default: 1e-6*max|y|)")
 
     p_bg = sub.add_parser("bgmodel", help="background/foreground split of a PGM sequence")
     p_bg.add_argument("frames", help="glob pattern matching the input PGM frames")
     p_bg.add_argument("--rank", type=int, default=1,
                       help="background rank (1 static, ~3 for illumination changes)")
-    p_bg.add_argument("--lambda-mult", type=float, default=1.0)
-    _add_solver_flags(p_bg, FactorizationConfig,
-                      "penalty weight (default: lambda-mult*sqrt(max(m, n))/||Y||_F of the "
-                      "pixels x frames matrix)", "1e-7*||Y||_F")
+    _add_solver_flags(p_bg, FactorizationConfig, "1e-7*||Y||_F")
 
     p_ver = sub.add_parser("version", help="print version")
     p_ver.add_argument("--json", action="store_true", dest="as_json")
@@ -268,10 +261,6 @@ def cmd_simulate(args) -> int:
         raise UsageError("--n must name at least one dimension")
     if args.num_seeds < 1:
         raise UsageError("--num-seeds must be at least 1")
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    for m in methods:
-        if m != "rrf":
-            raise UsageError(f"unknown simulate method {m!r}; only 'rrf' is built in")
 
     reports = []
     for n in dims:
@@ -284,9 +273,7 @@ def cmd_simulate(args) -> int:
                 inst = generate_sim(spec)
             except ValueError as exc:
                 raise UsageError(str(exc))
-            lam = args.lam if args.lam is not None else \
-                default_matrix_lambda(inst.y, args.lambda_mult)
-            cfg = FactorizationConfig(rank=spec.rank, lam=lam, tol=args.tol,
+            cfg = FactorizationConfig(rank=spec.rank, lam=args.lam, tol=args.tol,
                                       max_iter=args.max_iter)
             t0 = time.perf_counter()
             sol = rrf_solve(inst.y, cfg)
@@ -328,9 +315,7 @@ def cmd_bgmodel(args) -> int:
     if not 1 <= args.rank <= min(stack.matrix.shape):
         raise UsageError(f"--rank {args.rank} out of range for a "
                          f"{stack.matrix.shape[0]}x{stack.matrix.shape[1]} stack")
-    lam = args.lam if args.lam is not None else \
-        default_matrix_lambda(stack.matrix, args.lambda_mult)
-    cfg = FactorizationConfig(rank=args.rank, lam=lam, tol=args.tol, max_iter=args.max_iter)
+    cfg = FactorizationConfig(rank=args.rank, lam=args.lam, tol=args.tol, max_iter=args.max_iter)
     t0 = time.perf_counter()
     sol = rrf_solve(stack.matrix, cfg)
     wall = _wall(t0, args.timing)
@@ -387,7 +372,6 @@ def _validate_flags(args) -> None:
         ("rank", lambda v: v >= 1, "--rank must be at least 1"),
         ("rank_frac", lambda v: 0 < v <= 1, "--rank-frac must lie in (0, 1]"),
         ("density", lambda v: 0 <= v <= 1, "--density must lie in [0, 1]"),
-        ("lambda_mult", lambda v: v > 0, "--lambda-mult must be positive"),
         ("radius", lambda v: v >= 0, "--radius must be nonnegative"),
         ("max_support", lambda v: v >= 0, "--max-support must be nonnegative"),
     )
@@ -422,10 +406,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, PgmError) as exc:
-        print(f"loire: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, PgmError, ValueError) as exc:
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _shrink_project, as_matrix, truncated_svd
+from .linalg import _shrink_project, as_matrix, data_norm, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     y = as_matrix(y)
     if cfg.rank > min(y.shape):
         raise ValueError(f"rank={cfg.rank} out of range [1, {min(y.shape)}] for shape {y.shape}")
-    tol = cfg.tol if cfg.tol is not None else 1e-7 * float(np.linalg.norm(y))
+    norm = data_norm(y)
+    tol = cfg.tol if cfg.tol is not None else 1e-7 * norm
 
     a_fac = x_fac = None
 

@@ -45,6 +45,21 @@ def as_system(a, y) -> tuple[np.ndarray, np.ndarray]:
     return a, y
 
 
+def data_norm(y: np.ndarray) -> float:
+    """||y||_2 (Frobenius for a matrix), without a full-size temporary.
+
+    Raises ValueError when ||y||^2 is not a finite normal float and y is not
+    0: a default tol would read inf or 0 and ||Δb|| round to 0, so a solve
+    would stop after one step at a wrong answer.
+    """
+    flat = y.ravel(order="K")  # a view of a validated array
+    with np.errstate(over="ignore", under="ignore"):
+        sq = float(np.dot(flat, flat))
+    if not math.isfinite(sq) or (sq < np.finfo(np.float64).tiny and flat.any()):
+        raise ValueError(f"||y||^2 = {sq!r}: float64 overflow or underflow; rescale the data")
+    return math.sqrt(sq)
+
+
 @dataclass(frozen=True)
 class TruncatedSvd:
     """Rank-r singular triplet bundle: u (m×r), sigma (r,), vt (r×n)."""

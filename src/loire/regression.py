@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _shrink_project, as_matrix, as_system, as_vector, range_projector
+from .linalg import _shrink_project, as_matrix, as_system, as_vector, data_norm, range_projector
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    tol = cfg.tol if cfg.tol is not None else 1e-10 * float(np.linalg.norm(y))
+    norm = data_norm(y)
+    tol = cfg.tol if cfg.tol is not None else 1e-10 * norm
     project, x = range_projector(a)
     b, trace, iterations, converged, lam = _shrink_project(y, project, cfg.lam, tol,
                                                            cfg.max_iter)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from loire import read_pgm, write_pgm
+from loire import FactorizationConfig, SimSpec, generate_sim, read_pgm, rrf_solve, write_pgm
 from loire.benchmark import BenchmarkReport
 from loire.cli import main
 
@@ -213,9 +213,30 @@ class TestSimulate:
         for row in rows:
             assert BenchmarkReport.from_row(row).to_row() == row
 
+    def test_default_lambda_detects_spikes(self, tmp_path):
+        # the default is rrf_solve's own lam=None rule; the old
+        # sqrt(N)/||Y||_F default shrank B to 0 and reported F 0
+        out = tmp_path / "out"
+        assert main(["simulate", "--n", "30", "--num-seeds", "2", "--timing", "none",
+                     "--out", str(out)]) == 0
+        with open(out / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for seed, row in enumerate(rows):
+            spec = SimSpec(n=30, seed=seed)
+            lam = rrf_solve(generate_sim(spec).y, FactorizationConfig(rank=spec.rank)).lam
+            assert float(row["F"]) > 0.5 and row["lambda"] == repr(lam)
+
+    def test_out_of_range_data_is_data_error(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "30", "--dense-scale", "1e200", "--amplitude", "1e201",
+                   "--out", str(tmp_path)])
+        assert rc == 2 and "overflow" in capsys.readouterr().err
+
+    def test_lambda_mult_rejected(self, tmp_path):
+        assert main(["simulate", "--n", "30", "--lambda-mult", "2", "--out", str(tmp_path)]) == 1
+
     def test_unconverged_solve_warns(self, tmp_path, capsys):
-        # the default lambda shrinks everything to B = 0 in one step, which
-        # converges at once; criterion 5's lambda gives a real solve
+        # criterion 5's lambda, which keeps the capped solve from converging
         args = ["simulate", "--n", "30", "--num-seeds", "2", "--lambda", "0.625",
                 "--timing", "none"]
         assert main(args + ["--out", str(tmp_path / "default")]) == 0
@@ -274,23 +295,49 @@ class TestBgmodel:
         with open(tmp_path / "capped" / "timing.json") as fh:
             assert not json.load(fh)["converged"]
 
-    def test_small_foreground_is_visible(self, tmp_path):
-        # a 3x3 square is 0.56% of a 40x40 frame, so the 99th percentile of
-        # |B| over all pixels is 0; the scale comes from the nonzero |B|
+    @staticmethod
+    def _moving_square(tmp_path):
+        # a 3x3 square moving across a static 40x40 texture
         rng = np.random.default_rng(2)
         background = rng.integers(40, 120, size=(40, 40)).astype(np.uint8)
         for j in range(10):
             frame = background.copy()
             frame[3 * j:3 * j + 3, 3 * j:3 * j + 3] = 250
             write_pgm(tmp_path / f"frame_{j:03d}.pgm", frame)
-        out = tmp_path / "out"
-        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--lambda", "0.1",
-                     "--out", str(out)]) == 0
+        return background
+
+    @staticmethod
+    def _assert_square_foregrounds(out):
         for j in range(10):
             fg = read_pgm(out / f"foreground_{j:04d}.pgm")
             square = np.zeros((40, 40), dtype=bool)
             square[3 * j:3 * j + 3, 3 * j:3 * j + 3] = True
             assert np.array_equal(fg > 0, square)
+
+    def test_small_foreground_is_visible(self, tmp_path):
+        # a 3x3 square is 0.56% of a 40x40 frame, so the 99th percentile of
+        # |B| over all pixels is 0; the scale comes from the nonzero |B|
+        self._moving_square(tmp_path)
+        out = tmp_path / "out"
+        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--lambda", "0.1",
+                     "--out", str(out)]) == 0
+        self._assert_square_foregrounds(out)
+
+    def test_default_lambda_separates_the_square(self, tmp_path):
+        # the old sqrt(max(m, n))/||Y||_F default left blank foregrounds and
+        # a background that kept part of the square
+        background = self._moving_square(tmp_path)
+        out = tmp_path / "out"
+        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--out", str(out)]) == 0
+        self._assert_square_foregrounds(out)
+        for j in range(10):
+            np.testing.assert_array_equal(read_pgm(out / f"background_{j:04d}.pgm"),
+                                          background)
+
+    @pytest.mark.parametrize("flag", ["--lambda-mult", "--zero-tol"])
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        # a usage error (1) before the empty glob would give a data error (2)
+        assert main(["bgmodel", str(tmp_path / "*.pgm"), flag, "0.5"]) == 1
 
     def test_dimension_mismatch_names_offending_file(self, tmp_path, capsys):
         write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))

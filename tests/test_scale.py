@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loire import (FactorizationConfig, LoireConfig, app_bem, default_lambda,
-                   default_zero_tol, detect_matrix_support, loire_solve, rrf_solve)
+from loire import (FactorizationConfig, LoireConfig, SimSpec, app_bem, baseline_lad,
+                   default_lambda, default_zero_tol, detect_matrix_support, generate_sim,
+                   loire_solve, rrf_solve)
 
 SEEDS = st.integers(0, 2**32 - 1)
 POWERS = st.integers(-150, 150)
@@ -91,6 +92,18 @@ class TestScaleEquivariance:
         assert detect_matrix_support(scaled.b, default_zero_tol(s * y)) \
             == detect_matrix_support(base.b, default_zero_tol(y))
 
+    @settings(deadline=None, max_examples=25)  # a LAD solve takes up to 5000 steps
+    @given(SEEDS, POWERS)
+    def test_baseline_lad_scales_with_y(self, seed, k):
+        # 1/rho comes from the least-squares residual and the stop is relative
+        # to ||y||; a fixed 1/rho = 1 stopped after 1-2 steps for s != 1
+        a, y = _planted_regression(seed)
+        s = 10.0 ** k
+        base = baseline_lad(a, y)
+        scaled = baseline_lad(a, s * y)
+        assert scaled.iterations == base.iterations
+        assert _close(scaled.x, base.x, s)
+
 
 class TestDegenerateInputs:
     @settings(deadline=None)
@@ -124,6 +137,24 @@ class TestDegenerateInputs:
         m, n = shape
         reg = loire_solve(np.ones((m, n)), np.zeros(m), LoireConfig())
         assert reg.lam == 1.0 and reg.converged and not np.any(reg.b)
+        lad = baseline_lad(np.ones((m, n)), np.zeros(m))
+        assert lad.converged and lad.iterations == 1 and not np.any(lad.x)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e155, 1e200])
+    def test_out_of_range_data_raises(self, s):
+        # past the float range ||y||^2 is inf or 0, so the default tol and
+        # ||Δb|| would read the solve as converged after one step
+        rng = np.random.default_rng(50)
+        a = rng.normal(size=(50, 3))
+        y = a @ rng.normal(size=3) + 0.1 * rng.normal(size=50)
+        y[4] += 20.0
+        y_mat = generate_sim(SimSpec(n=30)).y
+        for solve in (lambda: loire_solve(a, s * y, LoireConfig()),
+                      lambda: loire_solve(a, s * y, LoireConfig(lam=1.0, tol=1.0)),
+                      lambda: baseline_lad(a, s * y),
+                      lambda: rrf_solve(s * y_mat, FactorizationConfig(rank=2))):
+            with pytest.raises(ValueError, match="overflow or underflow"):
+                solve()
 
     @settings(deadline=None)
     @given(SEEDS)
