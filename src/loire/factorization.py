@@ -1,9 +1,10 @@
 """Robust rank factorization Y ~ A X + B.
 
 Alternates a rank-r update for the unit-column dictionary A and the
-coefficients X (a full SVD on the first iteration, a warm-started
-Rayleigh-Ritz step after that) with an elementwise shrinkage update for the
-sparse corruption B, minimizing  ||B||_1 + (lam/2) ||Y - A X - B||_F^2.
+coefficients X (one Rayleigh-Ritz step each iteration, started on the first
+from the Gram matrix of Y's shorter side and warm after that) with an
+elementwise shrinkage update for the sparse corruption B, minimizing
+||B||_1 + (lam/2) ||Y - A X - B||_F^2.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _shrink_project, as_matrix, data_norm, truncated_svd
+from .linalg import _shrink_project, as_matrix, data_norm
 
 
 @dataclass(frozen=True)
 class FactorizationConfig:
     """Target rank, penalty weight, and stopping rule.
 
-    lam=None sets the threshold 1/lam from the residual of the first rank-r
-    SVD fit, by the rule of loire.default_lambda (see linalg._mad_lambda).
+    lam=None sets the threshold 1/lam from the residual of the best rank-r
+    fit of Y that the first iteration takes, by the rule of
+    loire.default_lambda (see linalg._mad_lambda).
     tol bounds ||B_{k+1} - B_k||_F at convergence; None selects the default
     1e-7 * ||Y||_F.
     """
@@ -72,12 +74,28 @@ def rrf_objective(y, a, x, b, lam: float) -> float:
 
 
 def default_matrix_lambda(y, multiplier: float = 1.0) -> float:
-    """Heuristic penalty weight sqrt(max(m, n)) / ||Y||_F, times *multiplier*."""
+    """Heuristic penalty weight sqrt(max(m, n)) / ||Y||_F, times *multiplier*.
+
+    Y = 0 gives 1e6 * multiplier; ||Y||_F^2 outside the float range raises
+    ValueError (linalg.data_norm).
+    """
     y = as_matrix(y)
-    fro = float(np.linalg.norm(y))
-    if fro <= 1e-300:
+    fro = data_norm(y)
+    if fro == 0.0:
         return 1e6 * multiplier
     return multiplier * math.sqrt(max(y.shape)) / fro
+
+
+def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the top-r left singular subspace of *m_mat*.
+
+    Takes the eigenvectors of the Gram matrix of the shorter side, so no full
+    SVD is formed; the qr keeps the tall branch's basis at unit scale.
+    """
+    if m_mat.shape[0] >= m_mat.shape[1]:
+        _, v = np.linalg.eigh(m_mat.T @ m_mat)  # eigenvalues ascending
+        return np.linalg.qr(m_mat @ v[:, -rank:])[0]
+    return np.linalg.eigh(m_mat @ m_mat.T)[1][:, -rank:]
 
 
 def _warm_rank_step(m_mat: np.ndarray, a_prev: np.ndarray, rank: int):
@@ -97,8 +115,10 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
 
     Each iteration takes rank-r factors of Y - B (A with orthonormal columns,
     X = sigma * Vt rows) and then shrinks the residual:
-    B <- soft_threshold(Y - A X, 1/lam).  The first iteration factors by a
-    full SVD; later ones by a warm-started rank-r step from the previous A.
+    B <- soft_threshold(Y - A X, 1/lam).  Every iteration factors by one
+    Rayleigh-Ritz rank-r step from a start A: on the first, the top-r
+    eigenvectors of the Gram matrix of Y's shorter side, so the first fit is
+    the best rank-r fit of Y without a full SVD; later, the previous A.
     Stops when ||B_{k+1} - B_k||_F drops to cfg.tol.
     """
     y = as_matrix(y)
@@ -112,10 +132,8 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     def project(res):
         nonlocal a_fac, x_fac
         if a_fac is None:
-            svd = truncated_svd(res, cfg.rank)
-            a_fac, x_fac = svd.u, svd.sigma[:, None] * svd.vt
-        else:
-            a_fac, x_fac = _warm_rank_step(res, a_fac, cfg.rank)
+            a_fac = _top_left_start(res, cfg.rank)
+        a_fac, x_fac = _warm_rank_step(res, a_fac, cfg.rank)
         # res <- A X, written through its transpose so BLAS fills it directly
         np.matmul(x_fac.T, a_fac.T, out=res.T)
 

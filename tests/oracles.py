@@ -4,6 +4,8 @@ Deliberately avoids the library's solve paths: eigenvalues come from
 classical Jacobi rotations, not LAPACK's SVD driver.
 """
 
+import contextlib
+
 import numpy as np
 
 
@@ -135,3 +137,25 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
         if delta <= tol:
             return x, b, trace, it, True
     return x, b, trace, max_iter, False
+
+
+@contextlib.contextmanager
+def counting_svd():
+    """Record the shape of every matrix passed to ``numpy.linalg.svd``.
+
+    Inside the ``with`` block, ``numpy.linalg.svd`` appends its argument's
+    shape to the yielded list before it runs; the original is restored on
+    exit.  Code that looks the function up at call time is counted.
+    """
+    shapes = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    np.linalg.svd = svd
+    try:
+        yield shapes
+    finally:
+        np.linalg.svd = real

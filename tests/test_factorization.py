@@ -4,7 +4,7 @@ import pytest
 from loire import (FactorizationConfig, LoireConfig, SimSpec, compute_metrics,
                    default_matrix_lambda, detect_matrix_support, generate_sim,
                    loire_solve, rrf_objective, rrf_solve)
-from oracles import rrf_full_svd_alternation, singular_values_bruteforce
+from oracles import counting_svd, rrf_full_svd_alternation, singular_values_bruteforce
 
 
 class TestObjective:
@@ -213,6 +213,50 @@ class TestWarmStep:
     def test_solution_records_the_lam_it_applied(self):
         y = _corrupted_low_rank(3, 20, 15, 2)
         assert rrf_solve(y, FactorizationConfig(rank=2, lam=0.37)).lam == 0.37
+
+
+def _spectrum_matrix(kind, m, n, seed):
+    # Gaussian, or graded: singular values from 1 down to 1e-14
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.normal(size=(m, n))
+    k = min(m, n)
+    u = np.linalg.qr(rng.normal(size=(m, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    return (u * np.logspace(0, -14, k)) @ v.T
+
+
+class TestFirstStep:
+    """The first factor step is the best rank-r fit of Y, without a full SVD."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "graded"])
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 300), (120, 120)])
+    def test_first_fit_error_is_the_svd_tail_energy(self, shape, kind):
+        y = _spectrum_matrix(kind, *shape, seed=sum(shape))
+        k = min(shape)
+        sv = np.linalg.svd(y, compute_uv=False)
+        for r in (1, 3, k // 4, k // 2, k - 2):
+            sol = rrf_solve(y, FactorizationConfig(rank=r, lam=1.0, max_iter=1))
+            err = np.linalg.norm(y - sol.low_rank())
+            assert abs(err - np.sqrt(np.sum(sv[r:] ** 2))) <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("r", [1, 3, 10])
+    def test_tall_and_wide_starts_agree(self, r):
+        # y is tall, y.T wide: the two Gram branches give the same first fit
+        y = np.random.default_rng(8).normal(size=(300, 40))
+        cfg = FactorizationConfig(rank=r, lam=1.0, max_iter=1)
+        np.testing.assert_allclose(rrf_solve(y.T, cfg).low_rank(),
+                                   rrf_solve(y, cfg).low_rank().T,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(y))
+
+    def test_no_full_size_svd(self):
+        # only the 2r-row Rayleigh-Ritz projections Q^T (Y - B) reach the SVD,
+        # one per iteration
+        y = _corrupted_low_rank(9, 600, 80, 3)
+        with counting_svd() as shapes:
+            sol = rrf_solve(y, FactorizationConfig(rank=3))
+        assert sol.converged
+        assert shapes == [(6, 80)] * sol.iterations
 
 
 class TestDefaultMatrixLambda:

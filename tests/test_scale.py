@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, app_bem, baseline_lad,
-                   default_lambda, default_zero_tol, detect_matrix_support, generate_sim,
-                   loire_solve, rrf_solve)
+                   default_lambda, default_matrix_lambda, default_zero_tol,
+                   detect_matrix_support, generate_sim, loire_solve, rrf_solve)
 
 SEEDS = st.integers(0, 2**32 - 1)
 POWERS = st.integers(-150, 150)
@@ -92,6 +92,18 @@ class TestScaleEquivariance:
         assert detect_matrix_support(scaled.b, default_zero_tol(s * y)) \
             == detect_matrix_support(base.b, default_zero_tol(y))
 
+    @pytest.mark.parametrize("s", [2.0 ** 500, 2.0 ** -500, 2.0 ** -515])
+    def test_first_fit_scales_at_the_edge_of_the_range(self, s):
+        # ||s Y||^2 is just inside the float range; the Gram matrix and
+        # M Mᵀ A of the first step must neither overflow nor lose the fit
+        # (the suite turns any RuntimeWarning into an error)
+        y = np.random.default_rng(51).normal(size=(300, 40))
+        cfg = FactorizationConfig(rank=3, lam=1.0, max_iter=1)
+        for mat in (y, y.T):
+            fit = np.linalg.norm(mat - rrf_solve(mat, cfg).low_rank())
+            scaled = rrf_solve(s * mat, cfg).low_rank()
+            assert np.linalg.norm(mat - scaled / s) == pytest.approx(fit, rel=1e-12)
+
     @settings(deadline=None, max_examples=25)  # a LAD solve takes up to 5000 steps
     @given(SEEDS, POWERS)
     def test_baseline_lad_scales_with_y(self, seed, k):
@@ -155,6 +167,16 @@ class TestDegenerateInputs:
                       lambda: rrf_solve(s * y_mat, FactorizationConfig(rank=2))):
             with pytest.raises(ValueError, match="overflow or underflow"):
                 solve()
+
+    @pytest.mark.parametrize("s", [1e-290, 1e160])
+    def test_default_matrix_lambda_out_of_range_raises(self, s):
+        # squaring the entries underflows at 1e-290 (the answer is 5e289)
+        # and overflows at 1e160; data_norm reports both
+        y = np.ones((4, 9))
+        assert default_matrix_lambda(1e-150 * y) * 1e-150 == pytest.approx(0.5, rel=1e-14)
+        assert default_matrix_lambda(0.0 * y) == 1e6
+        with pytest.raises(ValueError, match="overflow or underflow"):
+            default_matrix_lambda(s * y)
 
     @settings(deadline=None)
     @given(SEEDS)
