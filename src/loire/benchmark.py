@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_mad_lambda, as_matrix, as_system, data_norm, least_squares_solve,
-                     range_projector, soft_threshold)
+from .linalg import (_mad_lambda, as_matrix, as_system, check_solver_settings, check_zero_tol,
+                     data_norm, least_squares_solve, range_projector, soft_threshold)
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,18 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError(f"n={self.n} must be positive")
         if not 0 < self.rank_frac <= 1:
             raise ValueError(f"rank_frac={self.rank_frac} must lie in (0, 1]")
+        if not 0 <= self.dense_noise_scale < math.inf:
+            raise ValueError(f"dense_noise_scale={self.dense_noise_scale} must be finite and >= 0")
+        if not 0 <= self.spike_amplitude < math.inf:
+            raise ValueError(f"spike_amplitude={self.spike_amplitude} must be finite and >= 0")
         if not 0 <= self.spike_density <= 1:
             raise ValueError(f"spike_density={self.spike_density} must lie in [0, 1]")
+        if not self.seed >= 0:
+            raise ValueError(f"seed={self.seed} must be nonnegative")
 
     @property
     def rank(self) -> int:
@@ -95,7 +101,7 @@ def compute_metrics(detected: set, truth: set) -> DetectionMetrics:
 def detect_matrix_support(b, zero_tol: float) -> set:
     """Positions (i, j) with |B_ij| > zero_tol."""
     b = as_matrix(b)
-    ii, jj = np.nonzero(np.abs(b) > zero_tol)
+    ii, jj = np.nonzero(np.abs(b) > check_zero_tol(zero_tol))
     return {(int(i), int(j)) for i, j in zip(ii, jj)}
 
 
@@ -121,6 +127,7 @@ def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     ||Δz|| are both at most 1e-10 ||y||, so scaling y by s scales x by s.
     Non-convergence is flagged on the result, not raised.
     """
+    check_solver_settings(None, None, max_iter)
     a, y = as_system(a, y)
     stop = 1e-10 * data_norm(y)
     project, x = range_projector(a)

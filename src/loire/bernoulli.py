@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import as_system, least_squares_solve
+from .linalg import as_system, check_zero_tol, least_squares_solve
 from .regression import LoireConfig, LoireSolution, loire_solve
 
 ENUMERATION_CAP = 10**6
@@ -36,9 +36,9 @@ class OracleConfig:
     max_support: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t={self.t} must be nonnegative")
-        if self.max_support < 0:
+        if not self.t >= 0:
+            raise ValueError(f"residual radius t={self.t} must be nonnegative")
+        if not self.max_support >= 0:
             raise ValueError(f"max_support={self.max_support} must be nonnegative")
 
 
@@ -66,9 +66,7 @@ def default_zero_tol(y) -> float:
 
 def detect_support(b: np.ndarray, zero_tol: float) -> tuple[int, ...]:
     """Indices i with |b_i| > zero_tol in the outlier vector *b*, sorted ascending."""
-    if zero_tol < 0:
-        raise ValueError(f"zero_tol={zero_tol} must be nonnegative")
-    return tuple(np.flatnonzero(np.abs(b) > zero_tol).tolist())
+    return tuple(np.flatnonzero(np.abs(b) > check_zero_tol(zero_tol)).tolist())
 
 
 def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +99,7 @@ def enumeration_count(m: int, max_support: int) -> int:
 def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolution:
     """Two-stage estimate: shrinkage-based support detection, then clean refit."""
     a, y = as_system(a, y)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(y)
+    zero_tol = default_zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
     stage1 = loire_solve(a, y, cfg)
     support = detect_support(stage1.b, zero_tol)
     if len(support) == y.shape[0]:

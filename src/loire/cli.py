@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob
 import json
@@ -20,10 +21,10 @@ from . import __version__
 from .benchmark import (BenchmarkReport, REPORT_COLUMNS, SimSpec, baseline_lad,
                         baseline_ols, compute_metrics, detect_matrix_support,
                         generate_sim)
-from .bernoulli import (AllRowsOutliers, InfeasibleRadius, OracleConfig, app_bem,
-                        bernoulli_oracle, default_zero_tol, detect_support,
-                        enumeration_count)
+from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
+                        detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
+from .linalg import check_zero_tol
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
 from .regression import LoireConfig, loire_solve
 
@@ -162,6 +163,16 @@ def _read_rows(reader, path: str, width: int) -> np.ndarray:
     return np.asarray(rows)
 
 
+@contextlib.contextmanager
+def _settings():
+    """The flags build library objects, which hold every rule on a setting: a
+    ValueError from one is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _wall(t0: float, timing: str) -> float:
     return 0.0 if timing == "none" else time.perf_counter() - t0
 
@@ -173,12 +184,9 @@ def _warn_unconverged(sol, what: str) -> None:
               f"without reaching tol={sol.tol:.6g}", file=sys.stderr)
 
 
-def _regress_one(method: str, a, y, args):
+def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
     """Run one regression method; returns the solution.json entry."""
     m = y.shape[0]
-    zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(y)
-    cfg = LoireConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
-
     t0 = time.perf_counter()
     trace: list[float] = []
     converged = True
@@ -199,7 +207,7 @@ def _regress_one(method: str, a, y, args):
         support = []
         iterations = 1
     elif method == "lad":
-        res = baseline_lad(a, y, max_iter=args.max_iter)
+        res = baseline_lad(a, y, max_iter=cfg.max_iter)
         x = res.x
         b = y - a @ x
         support = list(detect_support(b, zero_tol))
@@ -219,8 +227,6 @@ def _regress_one(method: str, a, y, args):
         x, b = sol.x, sol.b
         support = list(sol.support)
         iterations = 1
-    else:
-        raise UsageError(f"unknown method {method!r}; choose from {','.join(REGRESS_METHODS)}")
     return {
         "method": method,
         "x": [float(v) for v in x],
@@ -238,11 +244,17 @@ def cmd_regress(args) -> int:
     for m in methods:
         if m not in REGRESS_METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {','.join(REGRESS_METHODS)}")
+    with _settings():
+        cfg = LoireConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
+        # 0 stands in for the radius and cap that default to values read off the data
+        OracleConfig(t=0.0 if args.radius is None else args.radius,
+                     max_support=0 if args.max_support is None else args.max_support)
+        if args.zero_tol is not None:
+            check_zero_tol(args.zero_tol)
     a, y, names = _read_regression_csv(args.csv_path, args.target, args.intercept)
-    try:
-        entries = [_regress_one(m, a, y, args) for m in methods]
-    except (AllRowsOutliers, InfeasibleRadius) as exc:
-        raise DataError(str(exc))
+    zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(y)
+    # AllRowsOutliers and InfeasibleRadius are ValueErrors, so main reports them as data errors
+    entries = [_regress_one(m, a, y, cfg, zero_tol, args) for m in methods]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "solution.json")
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -261,31 +273,28 @@ def cmd_simulate(args) -> int:
         raise UsageError("--n must name at least one dimension")
     if args.num_seeds < 1:
         raise UsageError("--num-seeds must be at least 1")
+    with _settings():  # the whole --n x seed grid, before the first solve
+        specs = [SimSpec(n=n, rank_frac=args.rank_frac, dense_noise_scale=args.dense_scale,
+                         spike_amplitude=args.amplitude, spike_density=args.density, seed=seed)
+                 for n in dims for seed in range(args.seed, args.seed + args.num_seeds)]
+        cfgs = [FactorizationConfig(rank=spec.rank, lam=args.lam, tol=args.tol,
+                                    max_iter=args.max_iter) for spec in specs]
+        if args.zero_tol is not None:
+            check_zero_tol(args.zero_tol)
 
     reports = []
-    for n in dims:
-        for seed in range(args.seed, args.seed + args.num_seeds):
-            spec = SimSpec(n=n, rank_frac=args.rank_frac,
-                           dense_noise_scale=args.dense_scale,
-                           spike_amplitude=args.amplitude,
-                           spike_density=args.density, seed=seed)
-            try:
-                inst = generate_sim(spec)
-            except ValueError as exc:
-                raise UsageError(str(exc))
-            cfg = FactorizationConfig(rank=spec.rank, lam=args.lam, tol=args.tol,
-                                      max_iter=args.max_iter)
-            t0 = time.perf_counter()
-            sol = rrf_solve(inst.y, cfg)
-            wall = _wall(t0, args.timing)
-            _warn_unconverged(sol, f"simulate N={n} seed={seed}")
-            zero_tol = args.zero_tol if args.zero_tol is not None else \
-                default_zero_tol(inst.y)
-            detected = detect_matrix_support(sol.b, zero_tol)
-            metrics = compute_metrics(detected, inst.true_support)
-            reports.append(BenchmarkReport(method="rrf", spec=spec, metrics=metrics,
-                                           wall_time_s=wall, lam=sol.lam, tol=sol.tol,
-                                           iterations=sol.iterations))
+    for spec, cfg in zip(specs, cfgs):
+        inst = generate_sim(spec)
+        t0 = time.perf_counter()
+        sol = rrf_solve(inst.y, cfg)
+        wall = _wall(t0, args.timing)
+        _warn_unconverged(sol, f"simulate N={spec.n} seed={spec.seed}")
+        zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(inst.y)
+        detected = detect_matrix_support(sol.b, zero_tol)
+        metrics = compute_metrics(detected, inst.true_support)
+        reports.append(BenchmarkReport(method="rrf", spec=spec, metrics=metrics,
+                                       wall_time_s=wall, lam=sol.lam, tol=sol.tol,
+                                       iterations=sol.iterations))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "report.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -298,6 +307,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bgmodel(args) -> int:
+    with _settings():
+        cfg = FactorizationConfig(rank=args.rank, lam=args.lam, tol=args.tol,
+                                  max_iter=args.max_iter)
     paths = sorted(glob.glob(args.frames))
     if len(paths) < 2:
         raise DataError(f"need at least 2 frames, glob {args.frames!r} matched {len(paths)}")
@@ -312,10 +324,9 @@ def cmd_bgmodel(args) -> int:
                             f"of {paths[0]}")
         frames.append(fr)
     stack = FrameStack.from_frames(frames)
-    if not 1 <= args.rank <= min(stack.matrix.shape):
+    if cfg.rank > min(stack.matrix.shape):
         raise UsageError(f"--rank {args.rank} out of range for a "
                          f"{stack.matrix.shape[0]}x{stack.matrix.shape[1]} stack")
-    cfg = FactorizationConfig(rank=args.rank, lam=args.lam, tol=args.tol, max_iter=args.max_iter)
     t0 = time.perf_counter()
     sol = rrf_solve(stack.matrix, cfg)
     wall = _wall(t0, args.timing)
@@ -362,41 +373,16 @@ def cmd_version(args) -> int:
     return EXIT_OK
 
 
-def _validate_flags(args) -> None:
-    """Numeric-flag sanity checks, before any computation starts."""
-    checks = (
-        ("lam", lambda v: v > 0, "--lambda must be positive"),
-        ("tol", lambda v: v > 0, "--tol must be positive"),
-        ("max_iter", lambda v: v >= 1, "--max-iter must be at least 1"),
-        ("zero_tol", lambda v: v >= 0, "--zero-tol must be nonnegative"),
-        ("rank", lambda v: v >= 1, "--rank must be at least 1"),
-        ("rank_frac", lambda v: 0 < v <= 1, "--rank-frac must lie in (0, 1]"),
-        ("density", lambda v: 0 <= v <= 1, "--density must lie in [0, 1]"),
-        ("radius", lambda v: v >= 0, "--radius must be nonnegative"),
-        ("max_support", lambda v: v >= 0, "--max-support must be nonnegative"),
-    )
-    for name, ok, message in checks:
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise UsageError(message)
-
-
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None or args.command == "help":
         parser.print_help()
         return EXIT_OK
-    _validate_flags(args)
-    if args.command == "regress":
-        return cmd_regress(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "bgmodel":
-        return cmd_bgmodel(args)
-    if args.command == "version":
-        return cmd_version(args)
-    raise UsageError(f"unknown command {args.command!r}")
+    # argparse admits only the commands build_parser defines
+    commands = {"regress": cmd_regress, "simulate": cmd_simulate, "bgmodel": cmd_bgmodel,
+                "version": cmd_version}
+    return commands[args.command](args)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _shrink_project, as_matrix, data_norm
+from .linalg import _shrink_project, as_matrix, check_solver_settings, data_norm
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,9 @@ class FactorizationConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.rank < 1:
+        if not self.rank >= 1:
             raise ValueError(f"rank={self.rank} must be at least 1")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError(f"lam={self.lam} must be positive")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError(f"tol={self.tol} must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter={self.max_iter} must be at least 1")
+        check_solver_settings(self.lam, self.tol, self.max_iter)
 
 
 @dataclass

@@ -45,6 +45,24 @@ def as_system(a, y) -> tuple[np.ndarray, np.ndarray]:
     return a, y
 
 
+def check_solver_settings(lam: float | None, tol: float | None, max_iter: int) -> None:
+    """Every solve's settings rule: lam and tol are None (the default rule) or
+    finite and positive, as the shrink threshold is 1/lam; max_iter >= 1."""
+    if lam is not None and not 0 < lam < math.inf:
+        raise ValueError(f"lam={lam} must be finite and positive")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"tol={tol} must be finite and positive")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter={max_iter} must be at least 1")
+
+
+def check_zero_tol(zero_tol: float) -> float:
+    """The support cut-off rule, zero_tol >= 0 (NaN fails); returns zero_tol."""
+    if not zero_tol >= 0:
+        raise ValueError(f"zero_tol={zero_tol} must be nonnegative")
+    return zero_tol
+
+
 def data_norm(y: np.ndarray) -> float:
     """||y||_2 (Frobenius for a matrix), without a full-size temporary.
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _shrink_project, as_matrix, as_system, as_vector, data_norm, range_projector
+from .linalg import (_shrink_project, as_matrix, as_system, as_vector, check_solver_settings,
+                     data_norm, range_projector)
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,7 @@ class LoireConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError(f"lam={self.lam} must be positive")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError(f"tol={self.tol} must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter={self.max_iter} must be at least 1")
+        check_solver_settings(self.lam, self.tol, self.max_iter)
 
 
 @dataclass

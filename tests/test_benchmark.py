@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +56,14 @@ class TestGenerator:
             SimSpec(n=10, spike_density=1.5)
         with pytest.raises(ValueError):
             SimSpec(n=10, rank_frac=0.0)
+        # numpy draws from no infinite, NaN or negative range, and a NaN
+        # amplitude would only show in the generated matrix
+        for kwargs in ({"dense_noise_scale": math.nan}, {"dense_noise_scale": math.inf},
+                       {"dense_noise_scale": -2.0}, {"spike_amplitude": math.nan},
+                       {"spike_amplitude": math.inf}, {"spike_amplitude": -1.0},
+                       {"rank_frac": math.nan}, {"spike_density": math.nan}, {"seed": -1}):
+            with pytest.raises(ValueError, match="must"):
+                SimSpec(n=10, **kwargs)
 
 
 class TestMetrics:
@@ -93,6 +103,12 @@ class TestMetrics:
     def test_matrix_support_detection(self):
         b = np.array([[0.0, 2.0], [1e-9, -3.0]])
         assert detect_matrix_support(b, 1e-6) == {(0, 1), (1, 1)}
+
+    @pytest.mark.parametrize("zero_tol", [-1.0, math.nan])
+    def test_matrix_support_rejects_bad_zero_tol(self, zero_tol):
+        # -1 would flag every entry, NaN none
+        with pytest.raises(ValueError, match="zero_tol"):
+            detect_matrix_support(np.array([[0.0, 2.0]]), zero_tol)
 
 
 class TestBaselineOls:
@@ -138,6 +154,11 @@ class TestBaselineLad:
         res = baseline_lad(rng.normal(size=(10, 2)), rng.normal(size=10),
                            max_iter=2)
         assert not res.converged
+
+    def test_max_iter_below_one_raises(self):
+        # would return x = 0 after no iteration
+        with pytest.raises(ValueError, match="max_iter"):
+            baseline_lad(np.ones((3, 1)), [1.0, 2.0, 9.0], max_iter=0)
 
     def test_matches_linear_program_oracle(self):
         linprog = pytest.importorskip("scipy.optimize").linprog

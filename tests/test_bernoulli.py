@@ -32,6 +32,11 @@ class TestDetectSupport:
         with pytest.raises(ValueError):
             detect_support(_loire_with_b([1.0]), -1.0)
 
+    def test_nan_tolerance_raises(self):
+        # |b| > NaN is False everywhere, which would read as "no outliers"
+        with pytest.raises(ValueError, match="zero_tol"):
+            detect_support(_loire_with_b([1.0]), math.nan)
+
     def test_default_zero_tol_rule(self):
         assert default_zero_tol([1.0, -4.0]) == pytest.approx(4e-6)
 
@@ -77,6 +82,14 @@ class TestAppBem:
         clean = np.setdiff1d(np.arange(15), np.asarray(sol.support))
         np.testing.assert_allclose(sol.x, least_squares_solve(a[clean], y[clean]))
 
+    @pytest.mark.parametrize("zero_tol", [-1.0, math.nan])
+    def test_bad_zero_tol_raises_before_the_solve(self, monkeypatch, zero_tol):
+        def no_solve(*args):
+            raise AssertionError("app_bem solved before checking zero_tol")
+        monkeypatch.setattr("loire.bernoulli.loire_solve", no_solve)
+        with pytest.raises(ValueError, match="zero_tol"):
+            app_bem(np.ones((3, 1)), [1.0, 1.0, 5.0], LoireConfig(lam=1.0), zero_tol)
+
     def test_all_rows_flagged_raises(self):
         # mean fit leaves both residuals above the shrinkage threshold
         with pytest.raises(AllRowsOutliers):
@@ -117,6 +130,15 @@ class TestOracle:
         assert sol.support == (2,)
         np.testing.assert_allclose(sol.x, [1.0])
         np.testing.assert_allclose(sol.b, [0.0, 0.0, 8.0])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t": -1.0, "max_support": 1}, {"t": math.nan, "max_support": 1},
+        {"t": 1.0, "max_support": -1},
+    ])
+    def test_invalid_config_raises(self, kwargs):
+        # with t = NaN no residual is within the radius: every solve would be infeasible
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            OracleConfig(**kwargs)
 
     def test_infeasible_radius_raises(self):
         with pytest.raises(InfeasibleRadius):

@@ -256,6 +256,16 @@ class TestSimulate:
         rc = main(["simulate", "--n", "abc", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("dims", ["0", "20,0"])
+    def test_bad_n_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, dims):
+        # the whole --n x seed grid is checked before the first solve
+        solves = []
+        monkeypatch.setattr("loire.cli.rrf_solve", lambda *args: solves.append(args))
+        out = tmp_path / "out"
+        assert main(["simulate", "--n", dims, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "loire: error: n=0 must be positive\n"
+        assert solves == [] and not out.exists()
+
 
 class TestBgmodel:
     def test_identical_frames_recovered_exactly(self, tmp_path):
@@ -350,6 +360,48 @@ class TestBgmodel:
         write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
         rc = main(["bgmodel", str(tmp_path / "*.pgm"), "--out", str(tmp_path)])
         assert rc == 2
+
+
+# The values each numeric flag's library object rejects.  A missing CSV or
+# an empty glob is a data error (2), so exit 1 shows the check ran before any
+# input was read; simulate, which reads none, must not generate an instance.
+BAD_VALUES = {
+    "--lambda": ["0", "-1", "nan", "inf"],
+    "--tol": ["0", "-1", "nan", "inf"],
+    "--max-iter": ["0", "-1"],
+    "--zero-tol": ["-1", "nan", "-inf"],
+    "--radius": ["-1", "nan", "-inf"],
+    "--max-support": ["-1"],
+    "--rank": ["0", "-1"],
+    "--rank-frac": ["0", "-1", "1.5", "nan", "inf"],
+    "--density": ["-0.1", "1.5", "nan", "inf"],
+    "--dense-scale": ["-2", "nan", "inf"],
+    "--amplitude": ["-1", "nan", "inf"],
+    "--n": ["0", "-5", "20,0"],
+}
+COMMAND_FLAGS = {
+    "regress": ["--lambda", "--tol", "--max-iter", "--zero-tol", "--radius", "--max-support"],
+    "simulate": ["--lambda", "--tol", "--max-iter", "--zero-tol", "--rank-frac", "--density",
+                 "--dense-scale", "--amplitude", "--n"],
+    "bgmodel": ["--lambda", "--tol", "--max-iter", "--rank"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, flags in COMMAND_FLAGS.items()
+    for flag in flags for value in BAD_VALUES[flag]])
+def test_bad_setting_is_usage_error_before_input(tmp_path, capsys, monkeypatch,
+                                                 command, flag, value):
+    def no_instance(spec):
+        raise AssertionError("simulate generated an instance before checking its settings")
+    monkeypatch.setattr("loire.cli.generate_sim", no_instance)
+    lead = {"regress": [str(tmp_path / "missing.csv"), "--target", "y"],
+            "simulate": [], "bgmodel": [str(tmp_path / "*.pgm")]}[command]
+    out = tmp_path / "out"
+    assert main([command, *lead, f"{flag}={value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("loire: error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestMiscCommands:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,8 @@ class TestConfig:
         {"rank": 0, "lam": 1.0}, {"rank": 1, "lam": 0.0},
         {"rank": 1, "lam": 1.0, "tol": -1.0},
         {"rank": 1, "lam": 1.0, "max_iter": 0},
+        {"rank": 1, "lam": math.nan}, {"rank": 1, "lam": math.inf},
+        {"rank": 1, "tol": math.nan}, {"rank": 1, "tol": math.inf},
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,9 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lam": 0.0}, {"lam": -1.0}, {"lam": 1.0, "tol": 0.0},
         {"lam": 1.0, "max_iter": 0},
+        # lam = inf makes the threshold 1/lam 0 and the objective NaN; a NaN
+        # tol never stops the loop, an inf one stops it after one step
+        {"lam": math.nan}, {"lam": math.inf}, {"tol": math.nan}, {"tol": math.inf},
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
