@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .linalg import (TruncatedSvd, least_squares_solve, soft_threshold,
-                     truncated_svd)
+from .linalg import least_squares_solve, soft_threshold
 from .regression import (LoireConfig, LoireSolution, default_lambda,
                          loire_objective, loire_solve)
 from .bernoulli import (AllRowsOutliers, BemSolution, InfeasibleRadius,
@@ -17,7 +16,7 @@ from .benchmark import (BenchmarkReport, DetectionMetrics, LadSolution,
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
 
 __all__ = [
-    "TruncatedSvd", "least_squares_solve", "soft_threshold", "truncated_svd",
+    "least_squares_solve", "soft_threshold",
     "LoireConfig", "LoireSolution", "default_lambda", "loire_objective", "loire_solve",
     "AllRowsOutliers", "BemSolution", "InfeasibleRadius", "OracleConfig",
     "app_bem", "bernoulli_log_likelihood", "bernoulli_oracle",

@@ -14,7 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import as_system, check_zero_tol, least_squares_solve
+from .linalg import (as_matrix, as_system, as_vector, check_zero_tol,
+                     least_squares_solve)
 from .regression import LoireConfig, LoireSolution, loire_solve
 
 ENUMERATION_CAP = 10**6
@@ -58,9 +59,8 @@ class BemSolution:
 
 def default_zero_tol(y) -> float:
     """Support-detection cutoff 1e-6 * max |entry| of a vector or matrix."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0 or not np.all(np.isfinite(y)):
-        raise ValueError("zero-tol rule needs a nonempty array of finite entries")
+    y = np.asarray(y)
+    y = as_matrix(y) if y.ndim == 2 else as_vector(y)
     return 1e-6 * float(np.max(np.abs(y)))
 
 

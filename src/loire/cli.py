@@ -10,6 +10,7 @@ import contextlib
 import csv
 import glob
 import json
+import math
 import os
 import sys
 import time
@@ -110,8 +111,8 @@ def build_parser() -> _Parser:
 def _read_regression_csv(path: str, target: str, intercept: bool):
     """Parse the CSV into (A, y, predictor names); raises DataError with line numbers.
 
-    The data rows are parsed in bulk; when that fails they are read again row
-    by row, which names the offending line.
+    The data rows are parsed in bulk; when that fails or yields a non-finite
+    value they are read again row by row, which names the offending line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -130,7 +131,7 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
                     data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except (ValueError, UserWarning):
                 data = None
-            if data is None or data.shape[1] != len(header):
+            if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)
@@ -155,9 +156,12 @@ def _read_rows(reader, path: str, width: int) -> np.ndarray:
         if len(row) != width:
             raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
-            rows.append([float(c) for c in row])
+            values = [float(c) for c in row]
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric field in {row}")
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite field in {row}")
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows)

@@ -68,17 +68,17 @@ def rrf_objective(y, a, x, b, lam: float) -> float:
     return float(np.sum(np.abs(b)) + 0.5 * lam * np.sum(r * r))
 
 
-def default_matrix_lambda(y, multiplier: float = 1.0) -> float:
-    """Heuristic penalty weight sqrt(max(m, n)) / ||Y||_F, times *multiplier*.
+def default_matrix_lambda(y) -> float:
+    """Heuristic penalty weight sqrt(max(m, n)) / ||Y||_F.
 
-    Y = 0 gives 1e6 * multiplier; ||Y||_F^2 outside the float range raises
-    ValueError (linalg.data_norm).
+    Y = 0 gives 1e6; ||Y||_F^2 outside the float range raises ValueError
+    (linalg.data_norm).
     """
     y = as_matrix(y)
     fro = data_norm(y)
     if fro == 0.0:
-        return 1e6 * multiplier
-    return multiplier * math.sqrt(max(y.shape)) / fro
+        return 1e6
+    return math.sqrt(max(y.shape)) / fro
 
 
 def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:

@@ -8,7 +8,6 @@ Constructors reject non-finite entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,19 +77,6 @@ def data_norm(y: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
-@dataclass(frozen=True)
-class TruncatedSvd:
-    """Rank-r singular triplet bundle: u (m×r), sigma (r,), vt (r×n)."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Return u @ diag(sigma) @ vt."""
-        return (self.u * self.sigma) @ self.vt
-
-
 def least_squares_solve(a, y) -> np.ndarray:
     """Minimum-norm x minimizing ||y - A x||_2.
 
@@ -101,17 +87,6 @@ def least_squares_solve(a, y) -> np.ndarray:
     a, y = as_system(a, y)
     x, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
     return x
-
-
-def truncated_svd(a, r: int) -> TruncatedSvd:
-    """Best rank-r approximation factors of *a* (Eckart-Young)."""
-    a = as_matrix(a)
-    m, n = a.shape
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank r={r} out of range [1, {min(m, n)}] for shape {a.shape}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return TruncatedSvd(u=np.asfortranarray(u[:, :r]), sigma=s[:r].copy(),
-                        vt=np.asfortranarray(vt[:r]))
 
 
 def range_projector(a: np.ndarray):
@@ -224,7 +199,7 @@ def soft_threshold(v, tau: float):
 
     Elementwise on arrays; scalar in, scalar out.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN fails
         raise ValueError(f"threshold tau={tau} must be nonnegative")
     out = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0) + 0.0  # +0.0 normalizes -0.0
     if np.isscalar(v):

@@ -40,6 +40,15 @@ class TestDetectSupport:
     def test_default_zero_tol_rule(self):
         assert default_zero_tol([1.0, -4.0]) == pytest.approx(4e-6)
 
+    @pytest.mark.parametrize("y, message", [
+        ([1.0, math.nan], "vector entries must be finite"),
+        ([[1.0], [math.inf]], "matrix entries must be finite"),
+        ([], "zero-length vector"),
+    ])
+    def test_default_zero_tol_uses_the_array_rule(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            default_zero_tol(y)
+
 
 class TestAppBem:
     def test_gross_outlier_dropped_before_refit(self):

@@ -118,6 +118,22 @@ class TestRegress:
         assert rc == 2
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "row-by-row"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["predictor", "target"])
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "Infinity"])
+    def test_nonfinite_field_reports_line(self, tmp_path, capsys, field, column, quoted):
+        rows = [["1", "2"], ["2", "3.5"], ["3", "5"], ["4", "6.5"]]
+        rows[2][column] = field  # line 4, after the header
+        if quoted:  # quotes send the whole file down the row-by-row read
+            rows = [[f'"{c}"' for c in row] for row in rows]
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("x,y\n" + "".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        rc = main(["regress", str(path), "--target", "y", "--out", str(out)])
+        assert rc == 2
+        assert f"loire: error: {path}:4: non-finite field" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
     @pytest.mark.parametrize("text", [
         "x,y\n1,2\n3,4.5\n",                 # bulk parse
         "x,y\r\n1,2\r\n3,4.5\r\n",

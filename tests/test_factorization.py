@@ -267,4 +267,3 @@ class TestDefaultMatrixLambda:
     def test_formula(self):
         y = np.ones((4, 9))
         assert default_matrix_lambda(y) == pytest.approx(3.0 / 6.0)
-        assert default_matrix_lambda(y, multiplier=2.0) == pytest.approx(1.0)
