@@ -8,8 +8,8 @@ from .regression import (LoireConfig, LoireSolution, default_lambda,
 from .bernoulli import (AllRowsOutliers, BemSolution, InfeasibleRadius,
                         OracleConfig, app_bem, bernoulli_log_likelihood,
                         bernoulli_oracle, default_zero_tol, detect_support)
-from .factorization import (FactorizationConfig, FactorizationSolution,
-                            default_matrix_lambda, rrf_objective, rrf_solve)
+from .factorization import (FactorizationConfig, FactorizationSolution, rrf_objective,
+                            rrf_solve)
 from .benchmark import (BenchmarkReport, DetectionMetrics, LadSolution,
                         SimInstance, SimSpec, baseline_lad, baseline_ols,
                         compute_metrics, detect_matrix_support, generate_sim)
@@ -21,8 +21,7 @@ __all__ = [
     "AllRowsOutliers", "BemSolution", "InfeasibleRadius", "OracleConfig",
     "app_bem", "bernoulli_log_likelihood", "bernoulli_oracle",
     "default_zero_tol", "detect_support",
-    "FactorizationConfig", "FactorizationSolution", "default_matrix_lambda",
-    "rrf_objective", "rrf_solve",
+    "FactorizationConfig", "FactorizationSolution", "rrf_objective", "rrf_solve",
     "BenchmarkReport", "DetectionMetrics", "LadSolution", "SimInstance", "SimSpec",
     "baseline_lad", "baseline_ols", "compute_metrics", "detect_matrix_support",
     "generate_sim",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_mad_lambda, as_matrix, as_system, check_solver_settings, check_zero_tol,
-                     data_norm, least_squares_solve, range_projector, soft_threshold)
+from .linalg import (_shrink_project, as_matrix, as_system, check_solver_settings,
+                     check_zero_tol, data_norm, least_squares_solve, range_projector)
 
 
 @dataclass(frozen=True)
@@ -115,38 +115,27 @@ class LadSolution:
     x: np.ndarray
     iterations: int
     converged: bool
+    tol: float  # the stop the solve applied to ||r|| and ||Δz||
 
 
 def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     """Least-absolute-deviations fit min_x ||y - A x||_1 by ADMM splitting.
 
-    Splits z = y - A x; the x-update is a least-squares fit through the
-    range projector, the z-update a soft threshold at 1/rho.  rho is the
-    default penalty weight of the loire solvers (linalg._mad_lambda) on the
-    first least-squares residual y - P(y), and the run stops when ||r|| and
-    ||Δz|| are both at most 1e-10 ||y||, so scaling y by s scales x by s.
-    Non-convergence is flagged on the result, not raised.
+    Splits z = y - A x and runs the loire solvers' shrink-project loop
+    (linalg._shrink_project) with its scaled dual on: the x-update is a
+    least-squares fit through the range projector, the z-update a soft
+    threshold at 1/rho.  rho is the default penalty weight of the loire
+    solvers (linalg._mad_lambda) on the first least-squares residual
+    y - P(y), and the run stops when ||r|| and ||Δz|| are both at most
+    1e-10 ||y||, so scaling y by s scales x by s.  Non-convergence is
+    flagged on the result, not raised.
     """
     check_solver_settings(None, None, max_iter)
     a, y = as_system(a, y)
-    stop = 1e-10 * data_norm(y)
+    tol = 1e-10 * data_norm(y)
     project, x = range_projector(a)
-    z = np.zeros_like(y)
-    u = np.zeros_like(y)
-    thresh = None
-    for it in range(1, max_iter + 1):
-        ax = y - z + u
-        project(ax)
-        v = y - ax + u
-        if thresh is None:  # z = u = 0, so v is the least-squares residual
-            thresh = 1.0 / _mad_lambda(y, v, np.empty_like(y))
-        z_new = soft_threshold(v, thresh)
-        r_primal = y - ax - z_new
-        u = u + r_primal
-        if np.linalg.norm(r_primal) <= stop and np.linalg.norm(z_new - z) <= stop:
-            return LadSolution(x=x, iterations=it, converged=True)
-        z = z_new
-    return LadSolution(x=x, iterations=max_iter, converged=False)
+    _, _, iterations, converged, _ = _shrink_project(y, project, None, tol, max_iter, dual=True)
+    return LadSolution(x=x, iterations=iterations, converged=converged, tol=tol)
 
 
 REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations",

@@ -212,6 +212,7 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         iterations = 1
     elif method == "lad":
         res = baseline_lad(a, y, max_iter=cfg.max_iter)
+        _warn_unconverged(res, "regress method=lad")
         x = res.x
         b = y - a @ x
         support = list(detect_support(b, zero_tol))

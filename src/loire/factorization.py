@@ -9,7 +9,6 @@ elementwise shrinkage update for the sparse corruption B, minimizing
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,19 +65,6 @@ def rrf_objective(y, a, x, b, lam: float) -> float:
         raise ValueError("inconsistent dimensions for objective evaluation")
     r = y - a @ x - b
     return float(np.sum(np.abs(b)) + 0.5 * lam * np.sum(r * r))
-
-
-def default_matrix_lambda(y) -> float:
-    """Heuristic penalty weight sqrt(max(m, n)) / ||Y||_F.
-
-    Y = 0 gives 1e6; ||Y||_F^2 outside the float range raises ValueError
-    (linalg.data_norm).
-    """
-    y = as_matrix(y)
-    fro = data_norm(y)
-    if fro == 0.0:
-        return 1e6
-    return math.sqrt(max(y.shape)) / fro
 
 
 def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:

@@ -154,42 +154,58 @@ def _mad_lambda(y: np.ndarray, res: np.ndarray, scratch: np.ndarray) -> float:
     return lam if math.isfinite(lam) else 1.0
 
 
-def _shrink_project(y: np.ndarray, project, lam: float | None, tol: float, max_iter: int):
+def _shrink_project(y: np.ndarray, project, lam: float | None, tol: float, max_iter: int,
+                    dual: bool = False):
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
     *project(res)* overwrites res with P(res).  lam=None applies
     `_mad_lambda` to the first residual y - P(y).  Besides y the loop holds
     three arrays of y's layout (b, b_new, one residual) and computes the
     shrink, the objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2 and ||Δb||
-    in place.  Returns (b, objective trace, iterations, converged, lam).
+    in place.  dual=True runs LAD-ADMM with scaled dual u instead, min ||b||_1
+    subject to b = y - (a point in P's range) (Boyd et al. 2011, section
+    6.1): two more arrays hold u and the shrink's input, u is added to the
+    residual before the projection and before the shrink, the primal
+    residual r = y - P(y - b + u) - b_new is added into u, and the stop also
+    needs ||r|| <= tol.  Returns (b, objective trace, iterations, converged,
+    lam).
     """
     b = np.zeros_like(y)
     b_new = np.empty_like(y)
     res = np.empty_like(y)
+    u = np.zeros_like(y) if dual else None
+    v = np.empty_like(y) if dual else res  # the array the shrink reads
     trace: list[float] = []
     thresh = None if lam is None else 1.0 / lam
     for it in range(1, max_iter + 1):
         np.subtract(y, b, out=res)
+        if dual:
+            res += u
         project(res)
         np.subtract(y, res, out=res)
-        if thresh is None:
+        if thresh is None:  # u = 0 on the first step
             lam = _mad_lambda(y, res, b_new)  # b_new is free until the shrink
             thresh = 1.0 / lam
-        # b_new <- sign(res) max(|res| - thresh, 0), without -0.0
-        np.abs(res, out=b_new)
+        if dual:
+            np.add(res, u, out=v)
+        # b_new <- sign(v) max(|v| - thresh, 0), without -0.0
+        np.abs(v, out=b_new)
         b_new -= thresh
         np.maximum(b_new, 0.0, out=b_new)
         l1 = float(b_new.sum())
-        np.copysign(b_new, res, out=b_new)
+        np.copysign(b_new, v, out=b_new)
         b_new += 0.0
         res -= b_new
+        if dual:
+            u += res
         flat = res.ravel(order="K")  # a view: every buffer keeps y's layout
-        trace.append(l1 + 0.5 * lam * float(np.dot(flat, flat)))
+        rr = float(np.dot(flat, flat))
+        trace.append(l1 + 0.5 * lam * rr)
         b -= b_new
         flat = b.ravel(order="K")
         delta = math.sqrt(float(np.dot(flat, flat)))
         b, b_new = b_new, b
-        if delta <= tol:
+        if delta <= tol and (not dual or math.sqrt(rr) <= tol):
             return b, trace, it, True, lam
     return b, trace, max_iter, False, lam
 

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used only by the tests.
 
 Deliberately avoids the library's solve paths: eigenvalues come from
-classical Jacobi rotations, not LAPACK's SVD driver.
+classical Jacobi rotations, not LAPACK's SVD driver.  The one exception,
+`lad_admm_reference`, shares the library's projector and threshold rule on
+purpose, so that a comparison isolates the iteration.
 """
 
 import contextlib
 
 import numpy as np
+
+from loire.linalg import _mad_lambda, range_projector
 
 
 def jacobi_eigh(sym, tol=1e-13, max_sweeps=100):
@@ -137,6 +141,37 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
         if delta <= tol:
             return x, b, trace, it, True
     return x, b, trace, max_iter, False
+
+
+def lad_admm_reference(a, y, max_iter):
+    """Reference LAD-ADMM (Boyd et al. 2011, section 6.1), a fresh array per step.
+
+    Splits z = y - A x with scaled dual u, from z = u = 0: A x <- P(y - z + u)
+    through `linalg.range_projector`, z <- sign(v) max(|v| - 1/rho, 0) on
+    v = y - A x + u, u <- u + r with r = y - A x - z.  rho is `_mad_lambda` on
+    the first residual y - P(y).  Stops when ||r|| and ||z_new - z|| are both
+    at most 1e-10 ||y||.  Returns (x, iterations, converged).
+    """
+    a = np.asfortranarray(a, dtype=np.float64)  # the layout the library's SVD sees
+    y = np.asarray(y, dtype=np.float64)
+    tol = 1e-10 * np.linalg.norm(y)
+    project, x = range_projector(a)
+    z = np.zeros_like(y)
+    u = np.zeros_like(y)
+    thresh = None
+    for it in range(1, max_iter + 1):
+        ax = y - z + u
+        project(ax)
+        v = y - ax + u
+        if thresh is None:
+            thresh = 1.0 / _mad_lambda(y, v, np.empty_like(y))
+        z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0) + 0.0
+        r = y - ax - z_new
+        u = u + r
+        if np.linalg.norm(r) <= tol and np.linalg.norm(z_new - z) <= tol:
+            return x.copy(), it, True
+        z = z_new
+    return x.copy(), max_iter, False
 
 
 @contextlib.contextmanager

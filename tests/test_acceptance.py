@@ -7,15 +7,15 @@ reports every other line.
 
 import csv
 import functools
+import math
 import time
 
 import numpy as np
 
 from loire import (FactorizationConfig, LoireConfig, OracleConfig, SimSpec,
                    app_bem, baseline_ols, bernoulli_oracle, compute_metrics,
-                   default_lambda, default_matrix_lambda, detect_matrix_support,
-                   generate_sim, least_squares_solve, loire_solve, read_pgm,
-                   rrf_solve, write_pgm)
+                   default_lambda, detect_matrix_support, generate_sim,
+                   least_squares_solve, loire_solve, read_pgm, rrf_solve, write_pgm)
 from loire.cli import main as cli_main
 from loire.linalg import as_matrix, as_vector
 from oracles import svd_residual_detector, threshold_ceiling
@@ -84,7 +84,8 @@ def test_criterion_1_descent_and_termination():
         r = int(rng.integers(2, 5))
         y = rng.uniform(size=(m, r)) @ rng.uniform(size=(r, n)) \
             + np.where(rng.random((m, n)) < 0.05, rng.uniform(0, 10, (m, n)), 0.0)
-        sol = rrf_solve(y, FactorizationConfig(rank=r, lam=default_matrix_lambda(y)))
+        lam = math.sqrt(max(y.shape)) / np.linalg.norm(np.asfortranarray(y))
+        sol = rrf_solve(y, FactorizationConfig(rank=r, lam=lam))
         diffs = np.diff(sol.objective_trace)
         ok &= diffs.size == 0 or float(diffs.max()) <= 1e-12
         ok &= sol.converged

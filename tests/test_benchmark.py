@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from loire import (BenchmarkReport, DetectionMetrics, LoireConfig, SimSpec,
                    app_bem, baseline_lad, baseline_ols, compute_metrics,
                    detect_matrix_support, generate_sim)
+from oracles import lad_admm_reference
 
 
 class TestGenerator:
@@ -159,6 +160,24 @@ class TestBaselineLad:
         # would return x = 0 after no iteration
         with pytest.raises(ValueError, match="max_iter"):
             baseline_lad(np.ones((3, 1)), [1.0, 2.0, 9.0], max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2, 50, 1000])
+    def test_matches_admm_reference_bit_for_bit(self, max_iter):
+        # the shared in-place loop with its dual on is the allocating ADMM
+        rng = np.random.default_rng(300)
+        cases = [(rng.normal(size=(40, 1)), np.zeros(40))]  # y = 0: one step
+        for m, n in ((70, 2), (100, 3)):  # Cauchy noise: capped
+            a = rng.normal(size=(m, n))
+            cases.append((a, a @ rng.normal(size=n) + 0.2 * rng.standard_cauchy(size=m)))
+        # bounded noise: z stays 0 on step 1, so only the ||r|| stop goes on
+        a = rng.normal(size=(130, 4))
+        cases.append((a, a @ rng.normal(size=4) + rng.uniform(-0.1, 0.1, 130)))
+        cases.append((rng.normal(size=(8, 2)), rng.normal(size=8)))  # converges
+        for a, y in cases:
+            res = baseline_lad(a, y, max_iter=max_iter)
+            x, iterations, converged = lad_admm_reference(a, y, max_iter)
+            assert np.array_equal(res.x, x)
+            assert (res.iterations, res.converged) == (iterations, converged)
 
     def test_matches_linear_program_oracle(self):
         linprog = pytest.importorskip("scipy.optimize").linprog

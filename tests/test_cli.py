@@ -187,15 +187,20 @@ class TestRegress:
         slope = load_solution(out)["lad"]["x"][0]
         assert abs(slope - clean_slope) <= 0.1 * abs(clean_slope)
 
-    def test_lad_default_max_iter_is_the_loire_default(self, corrupted_fixture, tmp_path):
+    def test_lad_default_max_iter_is_the_loire_default(self, corrupted_fixture, tmp_path,
+                                                       capsys):
         # LAD needs 1427 ADMM steps here, so baseline_lad's own cap of 5000
         # would converge; regress caps every method at LoireConfig's 1000
+        # and says so on stderr
         path, _ = corrupted_fixture
         out = tmp_path / "out"
         assert main(["regress", str(path), "--target", "y", "--intercept",
                      "--method", "lad", "--out", str(out)]) == 0
         entry = load_solution(out)["lad"]
         assert entry["iterations"] == 1000 and not entry["converged"]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("loire: warning: regress method=lad")]
+        assert len(warnings) == 1 and "max_iter=1000" in warnings[0]
 
 
 class TestSimulate:

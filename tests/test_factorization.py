@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, compute_metrics,
-                   default_matrix_lambda, detect_matrix_support, generate_sim,
-                   loire_solve, rrf_objective, rrf_solve)
+                   detect_matrix_support, generate_sim, loire_solve, rrf_objective,
+                   rrf_solve)
 from oracles import counting_svd, rrf_full_svd_alternation, singular_values_bruteforce
 
 
@@ -262,8 +262,3 @@ class TestFirstStep:
         assert sol.converged
         assert shapes == [(6, 80)] * sol.iterations
 
-
-class TestDefaultMatrixLambda:
-    def test_formula(self):
-        y = np.ones((4, 9))
-        assert default_matrix_lambda(y) == pytest.approx(3.0 / 6.0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, app_bem, baseline_lad,
-                   default_lambda, default_matrix_lambda, default_zero_tol,
+                   default_lambda, default_zero_tol,
                    detect_matrix_support, generate_sim, loire_solve, rrf_solve)
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -167,16 +167,6 @@ class TestDegenerateInputs:
                       lambda: rrf_solve(s * y_mat, FactorizationConfig(rank=2))):
             with pytest.raises(ValueError, match="overflow or underflow"):
                 solve()
-
-    @pytest.mark.parametrize("s", [1e-290, 1e160])
-    def test_default_matrix_lambda_out_of_range_raises(self, s):
-        # squaring the entries underflows at 1e-290 (the answer is 5e289)
-        # and overflows at 1e160; data_norm reports both
-        y = np.ones((4, 9))
-        assert default_matrix_lambda(1e-150 * y) * 1e-150 == pytest.approx(0.5, rel=1e-14)
-        assert default_matrix_lambda(0.0 * y) == 1e6
-        with pytest.raises(ValueError, match="overflow or underflow"):
-            default_matrix_lambda(s * y)
 
     @settings(deadline=None)
     @given(SEEDS)
