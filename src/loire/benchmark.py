@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_shrink_project, as_matrix, as_system, check_solver_settings,
-                     check_zero_tol, data_norm, least_squares_solve, range_projector)
+from .linalg import (ShrinkRun, _shrink_project, as_matrix, as_system, check_zero_tol,
+                     least_squares_solve, range_projector)
+from .regression import LoireConfig
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,11 @@ def baseline_ols(a, y) -> np.ndarray:
 
 
 @dataclass
-class LadSolution:
+class LadSolution(ShrinkRun):
+    """b is the split variable z, lam the ADMM penalty rho, objective_trace
+    ||z||_1 + (rho/2) ||y - A x - z||^2, and tol the stop on ||r|| and ||Δz||."""
+
     x: np.ndarray
-    iterations: int
-    converged: bool
-    tol: float  # the stop the solve applied to ||r|| and ||Δz||
 
 
 def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
@@ -126,16 +127,15 @@ def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     least-squares fit through the range projector, the z-update a soft
     threshold at 1/rho.  rho is the default penalty weight of the loire
     solvers (linalg._mad_lambda) on the first least-squares residual
-    y - P(y), and the run stops when ||r|| and ||Δz|| are both at most
+    y - P(y), so it equals default_lambda(a, y), and the run stops when
+    ||r|| and ||Δz|| are both at most LoireConfig's default tol
     1e-10 ||y||, so scaling y by s scales x by s.  Non-convergence is
     flagged on the result, not raised.
     """
-    check_solver_settings(None, None, max_iter)
+    cfg = LoireConfig(max_iter=max_iter)
     a, y = as_system(a, y)
-    tol = 1e-10 * data_norm(y)
     project, x = range_projector(a)
-    _, _, iterations, converged, _ = _shrink_project(y, project, None, tol, max_iter, dual=True)
-    return LadSolution(x=x, iterations=iterations, converged=converged, tol=tol)
+    return LadSolution(**vars(_shrink_project(y, project, cfg, dual=True)), x=x)
 
 
 REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations",
@@ -144,7 +144,8 @@ REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations",
 
 @dataclass
 class BenchmarkReport:
-    """One benchmark run; serializes losslessly to the report.csv row schema."""
+    """One benchmark run; to_row gives its report.csv row, whose floats are
+    written by repr, so each parses back to the same float."""
 
     method: str
     spec: SimSpec
@@ -167,19 +168,3 @@ class BenchmarkReport:
             "F": repr(self.metrics.f),
             "wall_time_s": repr(self.wall_time_s),
         }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "BenchmarkReport":
-        """Rebuild from a report.csv row; generator fields beyond (N, seed)
-        are not part of the row schema and come back as SimSpec defaults."""
-        tp = fn = fp = 0  # counts are not serialized; rates are
-        return cls(
-            method=row["method"],
-            spec=SimSpec(n=int(row["N"]), seed=int(row["seed"])),
-            metrics=DetectionMetrics(tp=tp, fn=fn, fp=fp, dr=float(row["DR"]),
-                                     pre=float(row["Pre"]), f=float(row["F"])),
-            wall_time_s=float(row["wall_time_s"]),
-            lam=float(row["lambda"]),
-            tol=float(row["tol"]),
-            iterations=int(row["iterations"]),
-        )

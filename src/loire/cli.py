@@ -51,13 +51,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_solver_flags(sub, config, tol_rule):
+def _add_solver_flags(sub, config):
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="penalty weight; the shrink threshold is 1/lambda (default: "
                      "1/lambda = 1.4826*max(3*median|r|, 0.1*median|y-median(y)|) on the "
                      "residual r of the first least-squares or rank-r fit)")
     sub.add_argument("--tol", type=float, default=None,
-                     help=f"stop when ||b_k+1 - b_k|| <= tol (default: {tol_rule})")
+                     help=f"stop when ||b_k+1 - b_k|| <= tol (default: {config.REL_TOL:g} "
+                     "times the data's 2-norm, Frobenius for a matrix)")
     sub.add_argument("--max-iter", type=int, default=config.max_iter)
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--timing", choices=("wall", "none"), default="wall",
@@ -74,12 +75,14 @@ def build_parser() -> _Parser:
     p_reg.add_argument("--intercept", action="store_true",
                        help="append a constant ones column to the predictors")
     p_reg.add_argument("--method", default="appbem",
-                       help="comma list from: " + ",".join(REGRESS_METHODS))
+                       help="comma list from: " + ",".join(REGRESS_METHODS) + "; lad ignores "
+                       "--lambda and --tol and stops when ||r|| and ||z_k+1 - z_k|| are both "
+                       f"<= {LoireConfig.REL_TOL:g}*||y||")
     p_reg.add_argument("--radius", type=float, default=None,
                        help="residual radius t for the oracle (default: from appBEM fit)")
     p_reg.add_argument("--max-support", type=int, default=None,
                        help="oracle support-size cap (default: m)")
-    _add_solver_flags(p_reg, LoireConfig, "1e-10*||y||")
+    _add_solver_flags(p_reg, LoireConfig)
 
     p_sim = sub.add_parser("simulate", help="synthetic corruption benchmark")
     p_sim.add_argument("--n", default="100", help="comma list of square dimensions")
@@ -90,7 +93,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--density", type=float, default=0.05)
     p_sim.add_argument("--amplitude", type=float, default=10.0)
     p_sim.add_argument("--dense-scale", type=float, default=2.0)
-    _add_solver_flags(p_sim, FactorizationConfig, "1e-7*||Y||_F")
+    _add_solver_flags(p_sim, FactorizationConfig)
     for p in (p_reg, p_sim):  # bgmodel reports |B| itself, not a support
         p.add_argument("--zero-tol", type=float, default=None,
                        help="flag entries with |b| above this (default: 1e-6*max|y|)")
@@ -99,7 +102,7 @@ def build_parser() -> _Parser:
     p_bg.add_argument("frames", help="glob pattern matching the input PGM frames")
     p_bg.add_argument("--rank", type=int, default=1,
                       help="background rank (1 static, ~3 for illumination changes)")
-    _add_solver_flags(p_bg, FactorizationConfig, "1e-7*||Y||_F")
+    _add_solver_flags(p_bg, FactorizationConfig)
 
     p_ver = sub.add_parser("version", help="print version")
     p_ver.add_argument("--json", action="store_true", dest="as_json")
@@ -213,10 +216,12 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
     elif method == "lad":
         res = baseline_lad(a, y, max_iter=cfg.max_iter)
         _warn_unconverged(res, "regress method=lad")
-        x = res.x
+        x, iterations, converged = res.x, res.iterations, res.converged
+        # drop z first: it sits above the solve's freed arrays on the malloc
+        # heap, which cannot shrink while it lives (+3 MB peak on 50000 x 20)
+        del res
         b = y - a @ x
         support = list(detect_support(b, zero_tol))
-        iterations, converged = res.iterations, res.converged
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
         try:

@@ -9,11 +9,11 @@ elementwise shrinkage update for the sparse corruption B, minimizing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _shrink_project, as_matrix, check_solver_settings, data_norm
+from .linalg import ShrinkRun, _shrink_project, as_matrix, check_solver_settings
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,10 @@ class FactorizationConfig:
     fit of Y that the first iteration takes, by the rule of
     loire.default_lambda (see linalg._mad_lambda).
     tol bounds ||B_{k+1} - B_k||_F at convergence; None selects the default
-    1e-7 * ||Y||_F.
+    REL_TOL * ||Y||_F.
     """
+
+    REL_TOL = 1e-7  # unannotated, so not a field
 
     rank: int
     lam: float | None = None
@@ -39,15 +41,9 @@ class FactorizationConfig:
 
 
 @dataclass
-class FactorizationSolution:
+class FactorizationSolution(ShrinkRun):
     a: np.ndarray
     x: np.ndarray
-    b: np.ndarray
-    objective_trace: list[float] = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    tol: float | None = None  # the stopping tolerance the solve applied
-    lam: float | None = None  # the penalty weight the solve applied
 
     def low_rank(self) -> np.ndarray:
         """The recovered low-rank component A X."""
@@ -105,9 +101,6 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     y = as_matrix(y)
     if cfg.rank > min(y.shape):
         raise ValueError(f"rank={cfg.rank} out of range [1, {min(y.shape)}] for shape {y.shape}")
-    norm = data_norm(y)
-    tol = cfg.tol if cfg.tol is not None else 1e-7 * norm
-
     a_fac = x_fac = None
 
     def project(res):
@@ -118,8 +111,5 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
         # res <- A X, written through its transpose so BLAS fills it directly
         np.matmul(x_fac.T, a_fac.T, out=res.T)
 
-    b, trace, iterations, converged, lam = _shrink_project(y, project, cfg.lam, tol,
-                                                           cfg.max_iter)
-    return FactorizationSolution(a=a_fac, x=x_fac, b=b, objective_trace=trace,
-                                 iterations=iterations, converged=converged, tol=tol,
-                                 lam=lam)
+    run = _shrink_project(y, project, cfg)
+    return FactorizationSolution(**vars(run), a=a_fac, x=x_fac)

@@ -8,6 +8,7 @@ Constructors reject non-finite entries.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,22 +155,39 @@ def _mad_lambda(y: np.ndarray, res: np.ndarray, scratch: np.ndarray) -> float:
     return lam if math.isfinite(lam) else 1.0
 
 
-def _shrink_project(y: np.ndarray, project, lam: float | None, tol: float, max_iter: int,
-                    dual: bool = False):
+@dataclass
+class ShrinkRun:
+    """What one run of `_shrink_project` did: the final b, the objective at
+    each iteration, the iteration count, whether the stop rule was met, and
+    the tol and lam it applied.  Each iterative solver's result extends it."""
+
+    b: np.ndarray
+    objective_trace: list[float]
+    iterations: int
+    converged: bool
+    tol: float
+    lam: float
+
+
+def _shrink_project(y: np.ndarray, project, cfg, dual: bool = False) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
-    *project(res)* overwrites res with P(res).  lam=None applies
-    `_mad_lambda` to the first residual y - P(y).  Besides y the loop holds
-    three arrays of y's layout (b, b_new, one residual) and computes the
-    shrink, the objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2 and ||Δb||
-    in place.  dual=True runs LAD-ADMM with scaled dual u instead, min ||b||_1
-    subject to b = y - (a point in P's range) (Boyd et al. 2011, section
-    6.1): two more arrays hold u and the shrink's input, u is added to the
-    residual before the projection and before the shrink, the primal
+    *project(res)* overwrites res with P(res).  lam, tol and max_iter come
+    from the solver config *cfg*: lam=None applies `_mad_lambda` to the first
+    residual y - P(y), and tol=None applies cfg.REL_TOL * ||y|| (`data_norm`,
+    which also refuses y whose ||y||^2 over- or underflows).  Besides y the
+    loop holds three arrays of y's layout (b, b_new, one residual) and
+    computes the shrink, the objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2
+    and ||Δb|| in place.  dual=True runs LAD-ADMM with scaled dual u instead,
+    min ||b||_1 subject to b = y - (a point in P's range) (Boyd et al. 2011,
+    section 6.1): two more arrays hold u and the shrink's input, u is added
+    to the residual before the projection and before the shrink, the primal
     residual r = y - P(y - b + u) - b_new is added into u, and the stop also
-    needs ||r|| <= tol.  Returns (b, objective trace, iterations, converged,
-    lam).
+    needs ||r|| <= tol.
     """
+    norm = data_norm(y)
+    tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
+    lam = cfg.lam
     b = np.zeros_like(y)
     b_new = np.empty_like(y)
     res = np.empty_like(y)
@@ -177,7 +195,7 @@ def _shrink_project(y: np.ndarray, project, lam: float | None, tol: float, max_i
     v = np.empty_like(y) if dual else res  # the array the shrink reads
     trace: list[float] = []
     thresh = None if lam is None else 1.0 / lam
-    for it in range(1, max_iter + 1):
+    for it in range(1, cfg.max_iter + 1):
         np.subtract(y, b, out=res)
         if dual:
             res += u
@@ -206,8 +224,8 @@ def _shrink_project(y: np.ndarray, project, lam: float | None, tol: float, max_i
         delta = math.sqrt(float(np.dot(flat, flat)))
         b, b_new = b_new, b
         if delta <= tol and (not dual or math.sqrt(rr) <= tol):
-            return b, trace, it, True, lam
-    return b, trace, max_iter, False, lam
+            return ShrinkRun(b, trace, it, True, tol, lam)
+    return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam)
 
 
 def soft_threshold(v, tau: float):

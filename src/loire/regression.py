@@ -7,12 +7,12 @@ by an elementwise soft-threshold update for the outlier vector b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_shrink_project, as_matrix, as_system, as_vector, check_solver_settings,
-                     data_norm, range_projector)
+from .linalg import (ShrinkRun, _shrink_project, as_matrix, as_system, as_vector,
+                     check_solver_settings, range_projector)
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,11 @@ class LoireConfig:
     lam is the quadratic penalty weight (the shrinkage threshold is 1/lam);
     None selects default_lambda(A, y), computed inside the solve.  tol
     bounds ||b_{k+1} - b_k||_2 at convergence; None selects the default
-    1e-10 * ||y||_2, tight enough that the lasso subgradient certificate
+    REL_TOL * ||y||_2, tight enough that the lasso subgradient certificate
     holds to 1e-6 at the returned point.
     """
+
+    REL_TOL = 1e-10  # unannotated, so not a field
 
     lam: float | None = None
     tol: float | None = None
@@ -35,14 +37,8 @@ class LoireConfig:
 
 
 @dataclass
-class LoireSolution:
+class LoireSolution(ShrinkRun):
     x: np.ndarray
-    b: np.ndarray
-    objective_trace: list[float] = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    tol: float | None = None  # the stopping tolerance the solve applied
-    lam: float | None = None  # the penalty weight the solve applied
 
 
 def loire_objective(a, y, x, b, lam: float) -> float:
@@ -78,10 +74,5 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    norm = data_norm(y)
-    tol = cfg.tol if cfg.tol is not None else 1e-10 * norm
     project, x = range_projector(a)
-    b, trace, iterations, converged, lam = _shrink_project(y, project, cfg.lam, tol,
-                                                           cfg.max_iter)
-    return LoireSolution(x=x, b=b, objective_trace=trace, iterations=iterations,
-                         converged=converged, tol=tol, lam=lam)
+    return LoireSolution(**vars(_shrink_project(y, project, cfg)), x=x)

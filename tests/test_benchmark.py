@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loire import (BenchmarkReport, DetectionMetrics, LoireConfig, SimSpec,
-                   app_bem, baseline_lad, baseline_ols, compute_metrics,
+                   app_bem, baseline_lad, baseline_ols, compute_metrics, default_lambda,
                    detect_matrix_support, generate_sim)
+from loire.benchmark import REPORT_COLUMNS
 from oracles import lad_admm_reference
 
 
@@ -179,6 +180,23 @@ class TestBaselineLad:
             assert np.array_equal(res.x, x)
             assert (res.iterations, res.converged) == (iterations, converged)
 
+    def test_records_rho_and_trace(self):
+        # the 8x2 case of test_matches_admm_reference_bit_for_bit, drawn after
+        # the other seed-300 cases, converges at step 131
+        rng = np.random.default_rng(300)
+        rng.normal(size=(40, 1))
+        for m, n in ((70, 2), (100, 3)):
+            rng.normal(size=(m, n)), rng.normal(size=n), rng.standard_cauchy(size=m)
+        rng.normal(size=(130, 4)), rng.normal(size=4), rng.uniform(-0.1, 0.1, 130)
+        a, y = rng.normal(size=(8, 2)), rng.normal(size=8)
+        res = baseline_lad(a, y)
+        assert res.lam == default_lambda(a, y)
+        assert res.converged and len(res.objective_trace) == res.iterations
+        assert res.tol == pytest.approx(1e-10 * np.linalg.norm(y), rel=1e-14)
+        # the trace is ||z||_1 + (rho/2) ||r||^2 with r = y - A x - z, and ||r|| <= tol
+        gap = abs(res.objective_trace[-1] - np.abs(y - a @ res.x).sum())
+        assert gap <= math.sqrt(8) * res.tol + 0.5 * res.lam * res.tol ** 2
+
     def test_matches_linear_program_oracle(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         for trial in range(5):
@@ -206,7 +224,10 @@ class TestReportRoundTrip:
                                      pre=0.91, f=0.8586),
             wall_time_s=1.25, lam=0.625, tol=3.337e-05, iterations=41)
         row = rep.to_row()
-        back = BenchmarkReport.from_row(row)
-        assert back.to_row() == row
-        assert back.spec.n == 200 and back.spec.seed == 7
-        assert back.metrics.dr == rep.metrics.dr
+        assert tuple(row) == REPORT_COLUMNS
+        floats = {"lambda": rep.lam, "tol": rep.tol, "DR": rep.metrics.dr,
+                  "Pre": rep.metrics.pre, "F": rep.metrics.f, "wall_time_s": rep.wall_time_s}
+        for k, v in floats.items():
+            assert repr(float(row[k])) == row[k] and float(row[k]) == v
+        assert (row["method"], int(row["N"]), int(row["seed"]), int(row["iterations"])) \
+            == ("rrf", 200, 7, 41)

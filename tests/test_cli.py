@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loire import FactorizationConfig, SimSpec, generate_sim, read_pgm, rrf_solve, write_pgm
-from loire.benchmark import BenchmarkReport
+from loire.benchmark import REPORT_COLUMNS
 from loire.cli import main
 
 
@@ -230,9 +230,13 @@ class TestSimulate:
         assert rc == 0
         with open(out / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
+        assert [(int(r["N"]), int(r["seed"])) for r in rows] \
+            == [(30, 0), (30, 1), (40, 0), (40, 1)]
         for row in rows:
-            assert BenchmarkReport.from_row(row).to_row() == row
+            assert tuple(row) == REPORT_COLUMNS
+            for k in ("lambda", "tol", "DR", "Pre", "F", "wall_time_s"):
+                assert repr(float(row[k])) == row[k]
+            assert int(row["iterations"]) >= 1
 
     def test_default_lambda_detects_spikes(self, tmp_path):
         # the default is rrf_solve's own lam=None rule; the old
@@ -423,6 +427,35 @@ def test_bad_setting_is_usage_error_before_input(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("loire: error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+PGM_2X2 = b"P5\n2 2\n255\n\x01\x02\x03\x04"
+REGRESS = ["regress", "d.csv", "--target", "y"]
+
+
+# Checks no library object holds: the input's shape and the CLI's own list
+# flags.  Each case: files written first, arguments, exit code, message.
+@pytest.mark.parametrize("files, argv, code, message", [
+    ({"f0.pgm": PGM_2X2, "f1.pgm": PGM_2X2}, ["bgmodel", "*.pgm", "--rank", "3"], 1,
+     "--rank 3 out of range for a 4x2 stack"),
+    ({"d.csv": b"x,y\n1,2\n3\n"}, REGRESS, 2, "d.csv:3: expected 2 fields, got 1"),
+    ({"d.csv": b""}, REGRESS, 2, "d.csv: empty file"),
+    ({"d.csv": b"x,y\n"}, REGRESS, 2, "d.csv: no data rows"),
+    ({}, REGRESS, 2, "d.csv: [Errno 2]"),
+    ({}, REGRESS + ["--method", "loire,nope"], 1, "unknown method 'nope'"),
+    ({}, ["simulate", "--n", ","], 1, "--n must name at least one dimension"),
+    ({}, ["simulate", "--num-seeds", "0"], 1, "--num-seeds must be at least 1"),
+], ids=["rank-above-frames", "short-row", "empty-file", "header-only", "unreadable",
+        "unknown-method", "empty-n", "zero-seeds"])
+def test_error_exit(tmp_path, capsys, monkeypatch, files, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([*argv, "--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("loire: error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestMiscCommands:
