@@ -25,7 +25,7 @@ from .benchmark import (BenchmarkReport, REPORT_COLUMNS, SimSpec, baseline_lad,
 from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
                         detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
-from .linalg import check_zero_tol
+from .linalg import GAP_EVERY, GAP_TOL, check_zero_tol
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
 from .regression import LoireConfig, loire_solve
 
@@ -76,7 +76,9 @@ def build_parser() -> _Parser:
                        help="append a constant ones column to the predictors")
     p_reg.add_argument("--method", default="appbem",
                        help="comma list from: " + ",".join(REGRESS_METHODS) + "; lad ignores "
-                       "--lambda and --tol and stops when ||r|| and ||z_k+1 - z_k|| are both "
+                       "--lambda and --tol: it stops once a dual certificate, checked every "
+                       f"{GAP_EVERY} steps, puts ||y - Ax||_1 within {GAP_TOL:g} relative of "
+                       "the optimum, or when ||r|| and ||z_k+1 - z_k|| are both "
                        f"<= {LoireConfig.REL_TOL:g}*||y||")
     p_reg.add_argument("--radius", type=float, default=None,
                        help="residual radius t for the oracle (default: from appBEM fit)")
@@ -184,11 +186,12 @@ def _wall(t0: float, timing: str) -> float:
     return 0.0 if timing == "none" else time.perf_counter() - t0
 
 
-def _warn_unconverged(sol, what: str) -> None:
-    """One stderr line for a solve that stopped at max_iter unconverged."""
+def _warn_unconverged(sol, what: str, target: str | None = None) -> None:
+    """One stderr line for a solve that stopped at max_iter unconverged,
+    naming the *target* it did not reach (default: its tol)."""
     if not sol.converged:
         print(f"loire: warning: {what}: solve stopped at max_iter={sol.iterations} "
-              f"without reaching tol={sol.tol:.6g}", file=sys.stderr)
+              f"without reaching {target or f'tol={sol.tol:.6g}'}", file=sys.stderr)
 
 
 def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
@@ -215,7 +218,10 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         iterations = 1
     elif method == "lad":
         res = baseline_lad(a, y, max_iter=cfg.max_iter)
-        _warn_unconverged(res, "regress method=lad")
+        reached = (f"first checked at step {GAP_EVERY}" if res.gap is None
+                   else f"last measured {res.gap:.3g}")
+        _warn_unconverged(res, "regress method=lad",
+                          f"a relative duality gap of {GAP_TOL:g} ({reached})")
         x, iterations, converged = res.x, res.iterations, res.converged
         # drop z first: it sits above the solve's freed arrays on the malloc
         # heap, which cannot shrink while it lives (+3 MB peak on 50000 x 20)

@@ -74,5 +74,5 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    project, x = range_projector(a)
+    project, x, _ = range_projector(a)
     return LoireSolution(**vars(_shrink_project(y, project, cfg)), x=x)

@@ -150,28 +150,61 @@ def lad_admm_reference(a, y, max_iter):
     through `linalg.range_projector`, z <- sign(v) max(|v| - 1/rho, 0) on
     v = y - A x + u, u <- u + r with r = y - A x - z.  rho is `_mad_lambda` on
     the first residual y - P(y).  Stops when ||r|| and ||z_new - z|| are both
-    at most 1e-10 ||y||.  Returns (x, iterations, converged).
+    at most 1e-10 ||y||, or, every 5th step, when f = ||y - A x||_1 (taken as
+    ||r + z||_1) is within 1e-4 f of yᵀd, with d = rho u minus its
+    least-squares fit by A, divided by max(1, ||d||_inf); a gap stop then
+    takes `lad_vertex_reference`.  Returns (x, iterations, converged).
     """
     a = np.asfortranarray(a, dtype=np.float64)  # the layout the library's SVD sees
     y = np.asarray(y, dtype=np.float64)
     tol = 1e-10 * np.linalg.norm(y)
-    project, x = range_projector(a)
+    project, x, _ = range_projector(a)
     z = np.zeros_like(y)
     u = np.zeros_like(y)
-    thresh = None
+    rho = None
     for it in range(1, max_iter + 1):
         ax = y - z + u
         project(ax)
         v = y - ax + u
-        if thresh is None:
-            thresh = 1.0 / _mad_lambda(y, v, np.empty_like(y))
-        z_new = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0) + 0.0
+        if rho is None:
+            rho = _mad_lambda(y, v, np.empty_like(y))
+        z_new = np.sign(v) * np.maximum(np.abs(v) - 1.0 / rho, 0.0) + 0.0
         r = y - ax - z_new
         u = u + r
         if np.linalg.norm(r) <= tol and np.linalg.norm(z_new - z) <= tol:
             return x.copy(), it, True
         z = z_new
+        if it % 5 == 0:
+            f = np.abs(r + z).sum()
+            d = rho * u
+            d = d - a @ np.linalg.lstsq(a, d, rcond=None)[0]
+            d = d / max(1.0, np.abs(d).max())
+            if f - y @ d <= 1e-4 * f:
+                return lad_vertex_reference(a, y, x.copy()), it, True
     return x.copy(), max_iter, False
+
+
+def lad_vertex_reference(a, y, x):
+    """The vertex on the n rows of smallest |y - A x| if it is LP-optimal, else x.
+
+    x_B solves A_B x = y_B (by `np.linalg.lstsq`, refused when A_B is
+    rank-deficient); it is returned when d_N = sign(y_N - A_N x_B) and d_B
+    from A_Bᵀ d_B = -A_Nᵀ d_N give |d_B| <= 1 and x_B fits no worse than x.
+    """
+    m, n = a.shape
+    if m < n:
+        return x
+    r = y - a @ x
+    basis = np.sort(np.argsort(np.abs(r), kind="stable")[:n])
+    rest = np.setdiff1d(np.arange(m), basis)
+    x_b, _, rank, _ = np.linalg.lstsq(a[basis], y[basis], rcond=None)
+    if rank < n:
+        return x
+    r_b = y - a @ x_b
+    d_b = np.linalg.lstsq(a[basis].T, -a[rest].T @ np.sign(r_b[rest]), rcond=None)[0]
+    if np.all(np.abs(d_b) <= 1.0) and np.abs(r_b).sum() <= np.abs(r).sum():
+        return x_b
+    return x
 
 
 @contextlib.contextmanager

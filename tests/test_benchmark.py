@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from loire import (BenchmarkReport, DetectionMetrics, LoireConfig, SimSpec,
                    app_bem, baseline_lad, baseline_ols, compute_metrics, default_lambda,
                    detect_matrix_support, generate_sim)
+from loire import benchmark
 from loire.benchmark import REPORT_COLUMNS
+from loire.linalg import GAP_TOL, range_projector
 from oracles import lad_admm_reference
 
 
@@ -164,16 +166,19 @@ class TestBaselineLad:
 
     @pytest.mark.parametrize("max_iter", [2, 50, 1000])
     def test_matches_admm_reference_bit_for_bit(self, max_iter):
-        # the shared in-place loop with its dual on is the allocating ADMM
+        # the shared in-place loop with its dual on is the allocating ADMM,
+        # gap stop and vertex step included
         rng = np.random.default_rng(300)
         cases = [(rng.normal(size=(40, 1)), np.zeros(40))]  # y = 0: one step
-        for m, n in ((70, 2), (100, 3)):  # Cauchy noise: capped
+        # Cauchy noise: capped at 2 and 50; at 1000 a gap stop, at step 240
+        # with the vertex step taken, at 505 with it refused
+        for m, n in ((70, 2), (100, 3)):
             a = rng.normal(size=(m, n))
             cases.append((a, a @ rng.normal(size=n) + 0.2 * rng.standard_cauchy(size=m)))
-        # bounded noise: z stays 0 on step 1, so only the ||r|| stop goes on
+        # bounded noise: z stays 0 on step 1; a gap stop at step 555
         a = rng.normal(size=(130, 4))
         cases.append((a, a @ rng.normal(size=4) + rng.uniform(-0.1, 0.1, 130)))
-        cases.append((rng.normal(size=(8, 2)), rng.normal(size=8)))  # converges
+        cases.append((rng.normal(size=(8, 2)), rng.normal(size=8)))  # a gap stop at 40
         for a, y in cases:
             res = baseline_lad(a, y, max_iter=max_iter)
             x, iterations, converged = lad_admm_reference(a, y, max_iter)
@@ -182,7 +187,8 @@ class TestBaselineLad:
 
     def test_records_rho_and_trace(self):
         # the 8x2 case of test_matches_admm_reference_bit_for_bit, drawn after
-        # the other seed-300 cases, converges at step 131
+        # the other seed-300 cases, stops on its gap at step 40 and takes the
+        # vertex step
         rng = np.random.default_rng(300)
         rng.normal(size=(40, 1))
         for m, n in ((70, 2), (100, 3)):
@@ -193,9 +199,13 @@ class TestBaselineLad:
         assert res.lam == default_lambda(a, y)
         assert res.converged and len(res.objective_trace) == res.iterations
         assert res.tol == pytest.approx(1e-10 * np.linalg.norm(y), rel=1e-14)
-        # the trace is ||z||_1 + (rho/2) ||r||^2 with r = y - A x - z, and ||r|| <= tol
-        gap = abs(res.objective_trace[-1] - np.abs(y - a @ res.x).sum())
-        assert gap <= math.sqrt(8) * res.tol + 0.5 * res.lam * res.tol ** 2
+        # the certified gap: a vertex's is rounding, and its fit is the LP
+        # optimum, the least ||y - A x||_1 over the 28 two-row interpolants
+        f = np.abs(y - a @ res.x).sum()
+        assert abs(res.gap) <= 1e-12 and np.array_equal(res.b, y - a @ res.x)
+        best = min(np.abs(y - a @ np.linalg.solve(a[[i, j]], y[[i, j]])).sum()
+                   for i in range(8) for j in range(i + 1, 8))
+        assert f == pytest.approx(best, rel=1e-12)
 
     def test_matches_linear_program_oracle(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -206,14 +216,58 @@ class TestBaselineLad:
             y = a @ rng.normal(size=n) + rng.standard_cauchy(size=m) * 0.2
             res = baseline_lad(a, y)
             ours = np.abs(y - a @ res.x).sum()
-            # min 1^T t  s.t.  -t <= y - A x <= t
-            c = np.concatenate([np.zeros(n), np.ones(m)])
-            a_ub = np.block([[a, -np.eye(m)], [-a, -np.eye(m)]])
-            b_ub = np.concatenate([y, -y])
-            lp = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                         bounds=[(None, None)] * n + [(0, None)] * m)
-            assert lp.status == 0
-            assert ours <= lp.fun + 1e-4
+            assert ours <= _lp_l1_optimum(linprog, a, y) + 1e-4
+
+    def test_gap_stop_is_certified(self, monkeypatch):
+        # every gap stop's x is within GAP_TOL of the LP optimum, and the dual
+        # that proved it, scaled into |d| <= 1 as the definition says, has
+        # A^T d = 0 to rounding, bounds the optimum from below and certifies x
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        duals = []
+
+        def recording_projector(a):
+            project, x, null = range_projector(a)
+
+            def null_and_record(d, scratch):
+                null(d, scratch)
+                duals.append(d / max(1.0, np.abs(d).max()))
+
+            return project, x, null_and_record
+
+        monkeypatch.setattr(benchmark, "range_projector", recording_projector)
+        stops = 0
+        for trial in range(24):
+            rng = np.random.default_rng(700 + trial)
+            m, n = int(rng.integers(20, 301)), int(rng.integers(1, 7))
+            a = rng.normal(size=(m, n))
+            y = a @ rng.normal(size=n)
+            if trial % 2:
+                y += 0.2 * rng.standard_cauchy(size=m)
+            else:  # unit noise and 5% gross outliers, as the CSV benchmark plants
+                y += rng.normal(size=m)
+                rows = rng.choice(m, size=max(1, m // 20), replace=False)
+                y[rows] += rng.choice([-1.0, 1.0], rows.size) * rng.uniform(10, 50, rows.size)
+            duals.clear()
+            res = baseline_lad(a, y)
+            if res.gap is None or res.gap > GAP_TOL:
+                continue
+            stops += 1
+            f, f_lp, d = np.abs(y - a @ res.x).sum(), _lp_l1_optimum(linprog, a, y), duals[-1]
+            assert f - f_lp <= GAP_TOL * f_lp
+            assert np.linalg.norm(a.T @ d) <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(d)
+            assert y @ d <= f_lp * (1 + 1e-7) and f - y @ d <= GAP_TOL * f
+        assert stops >= 20
+
+
+def _lp_l1_optimum(linprog, a, y):
+    """min ||y - A x||_1 as the LP min 1ᵀt s.t. -t <= y - A x <= t (scipy HiGHS)."""
+    m, n = a.shape
+    c = np.concatenate([np.zeros(n), np.ones(m)])
+    a_ub = np.block([[a, -np.eye(m)], [-a, -np.eye(m)]])
+    b_ub = np.concatenate([y, -y])
+    lp = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n + [(0, None)] * m)
+    assert lp.status == 0
+    return lp.fun
 
 
 class TestReportRoundTrip:

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from loire import FactorizationConfig, SimSpec, generate_sim, read_pgm, rrf_solve, write_pgm
+from loire import (FactorizationConfig, SimSpec, generate_sim, linalg, read_pgm, rrf_solve,
+                   write_pgm)
 from loire.benchmark import REPORT_COLUMNS
 from loire.cli import main
 
@@ -188,10 +189,11 @@ class TestRegress:
         assert abs(slope - clean_slope) <= 0.1 * abs(clean_slope)
 
     def test_lad_default_max_iter_is_the_loire_default(self, corrupted_fixture, tmp_path,
-                                                       capsys):
-        # LAD needs 1427 ADMM steps here, so baseline_lad's own cap of 5000
-        # would converge; regress caps every method at LoireConfig's 1000
-        # and says so on stderr
+                                                       capsys, monkeypatch):
+        # with its gap stop off LAD needs 1427 ADMM steps here, so
+        # baseline_lad's own cap of 5000 would converge; regress caps every
+        # method at LoireConfig's 1000 and says so on stderr
+        monkeypatch.setattr(linalg, "GAP_TOL", 0.0)
         path, _ = corrupted_fixture
         out = tmp_path / "out"
         assert main(["regress", str(path), "--target", "y", "--intercept",
@@ -201,6 +203,24 @@ class TestRegress:
         warnings = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("loire: warning: regress method=lad")]
         assert len(warnings) == 1 and "max_iter=1000" in warnings[0]
+
+    def test_lad_stops_on_its_gap_and_warns_with_it(self, corrupted_fixture, tmp_path, capsys):
+        # LAD's stop is its duality gap, so a capped LAD names the gap it
+        # reached against GAP_TOL, not the tol it ignores
+        path, _ = corrupted_fixture
+        args = ["regress", str(path), "--target", "y", "--intercept", "--method", "lad"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        entry = load_solution(tmp_path / "default")["lad"]
+        assert entry["converged"] and entry["iterations"] < 1000
+        for max_iter, reached in (("1", "(first checked at step 5)"),
+                                  ("12", "(last measured ")):
+            assert main(args + ["--max-iter", max_iter, "--out", str(tmp_path / max_iter)]) == 0
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if "warning" in line]
+            assert len(warnings) == 1 and "tol=" not in warnings[0]
+            assert f"max_iter={max_iter} without reaching a relative duality gap of 0.0001 " \
+                f"{reached}" in warnings[0]
 
 
 class TestSimulate:
