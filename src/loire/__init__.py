@@ -12,7 +12,7 @@ from .factorization import (FactorizationConfig, FactorizationSolution, rrf_obje
                             rrf_solve)
 from .benchmark import (BenchmarkReport, DetectionMetrics, LadSolution,
                         SimInstance, SimSpec, baseline_lad, baseline_ols,
-                        compute_metrics, detect_matrix_support, generate_sim)
+                        compute_metrics, generate_sim)
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "default_zero_tol", "detect_support",
     "FactorizationConfig", "FactorizationSolution", "rrf_objective", "rrf_solve",
     "BenchmarkReport", "DetectionMetrics", "LadSolution", "SimInstance", "SimSpec",
-    "baseline_lad", "baseline_ols", "compute_metrics", "detect_matrix_support",
-    "generate_sim",
+    "baseline_lad", "baseline_ols", "compute_metrics", "generate_sim",
     "FrameStack", "PgmError", "read_pgm", "write_pgm",
 ]

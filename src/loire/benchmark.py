@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (GAP_TOL, ShrinkRun, _shrink_project, as_matrix, as_system,
-                     check_zero_tol, least_squares_solve, range_projector)
+from .linalg import (GAP_TOL, ShrinkRun, _shrink_project, as_system, least_squares_solve,
+                     range_projector)
 from .regression import LoireConfig
 
 
@@ -56,7 +56,7 @@ class SimInstance:
     l: np.ndarray
     g: np.ndarray
     b_true: np.ndarray
-    true_support: set
+    true_support: np.ndarray  # the boolean mask of the drawn spikes
 
 
 def generate_sim(spec: SimSpec) -> SimInstance:
@@ -68,8 +68,7 @@ def generate_sim(spec: SimSpec) -> SimInstance:
     g = rng.uniform(0.0, spec.dense_noise_scale, size=(n, n))
     mask = rng.random(size=(n, n)) < spec.spike_density
     b_true = np.where(mask, spec.spike_amplitude * rng.uniform(0.0, 1.0, size=(n, n)), 0.0)
-    support = {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
-    return SimInstance(y=l + g + b_true, l=l, g=g, b_true=b_true, true_support=support)
+    return SimInstance(y=l + g + b_true, l=l, g=g, b_true=b_true, true_support=mask)
 
 
 @dataclass(frozen=True)
@@ -82,28 +81,23 @@ class DetectionMetrics:
     f: float
 
 
-def compute_metrics(detected: set, truth: set) -> DetectionMetrics:
+def compute_metrics(detected: np.ndarray, truth: np.ndarray) -> DetectionMetrics:
     """Detection rate, precision, and F-measure over corrupted-entry detection.
 
-    Empty-denominator conventions: DR = 1 when there is nothing to find,
-    Pre = 1 when nothing was claimed, F = 0 when DR + Pre = 0.
+    Both supports are boolean masks of the same shape; anything else raises
+    TypeError.  Empty-denominator conventions: DR = 1 when there is nothing
+    to find, Pre = 1 when nothing was claimed, F = 0 when DR + Pre = 0.
     """
-    detected = set(detected)
-    truth = set(truth)
-    tp = len(detected & truth)
-    fn = len(truth - detected)
-    fp = len(detected - truth)
+    if not all(isinstance(s, np.ndarray) and s.dtype == bool for s in (detected, truth)) \
+            or detected.shape != truth.shape:
+        raise TypeError("compute_metrics takes two boolean masks of the same shape")
+    tp = int(np.count_nonzero(detected & truth))
+    fn = int(np.count_nonzero(truth)) - tp
+    fp = int(np.count_nonzero(detected)) - tp
     dr = tp / (tp + fn) if tp + fn > 0 else 1.0
     pre = tp / (tp + fp) if tp + fp > 0 else 1.0
     f = 2.0 * dr * pre / (dr + pre) if dr + pre > 0 else 0.0
     return DetectionMetrics(tp=tp, fn=fn, fp=fp, dr=dr, pre=pre, f=f)
-
-
-def detect_matrix_support(b, zero_tol: float) -> set:
-    """Positions (i, j) with |B_ij| > zero_tol."""
-    b = as_matrix(b)
-    ii, jj = np.nonzero(np.abs(b) > check_zero_tol(zero_tol))
-    return {(int(i), int(j)) for i, j in zip(ii, jj)}
 
 
 def baseline_ols(a, y) -> np.ndarray:
@@ -182,14 +176,15 @@ def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     return LadSolution(**vars(run), x=x)
 
 
-REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations",
+REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations", "converged",
                   "DR", "Pre", "F", "wall_time_s")
 
 
 @dataclass
 class BenchmarkReport:
     """One benchmark run; to_row gives its report.csv row, whose floats are
-    written by repr, so each parses back to the same float."""
+    written by repr, so each parses back to the same float, and whose
+    converged reads true or false, as in the JSON outputs."""
 
     method: str
     spec: SimSpec
@@ -198,6 +193,7 @@ class BenchmarkReport:
     lam: float
     tol: float
     iterations: int
+    converged: bool
 
     def to_row(self) -> dict:
         return {
@@ -207,6 +203,7 @@ class BenchmarkReport:
             "lambda": repr(self.lam),
             "tol": repr(self.tol),
             "iterations": str(self.iterations),
+            "converged": "true" if self.converged else "false",
             "DR": repr(self.metrics.dr),
             "Pre": repr(self.metrics.pre),
             "F": repr(self.metrics.f),

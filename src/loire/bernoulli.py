@@ -3,7 +3,8 @@
 `app_bem` detects the outlier rows with the l1 solver, drops them, and
 refits by least squares.  `bernoulli_oracle` certifies the minimal outlier
 support by exhaustive enumeration and is meant for small verification
-instances only.  Row indices are 0-based throughout.
+instances only.  A support is a boolean mask over the rows; BemSolution
+keeps the flagged rows as sorted 0-based indices.
 """
 
 from __future__ import annotations
@@ -57,16 +58,20 @@ class BemSolution:
     loire: LoireSolution | None = None
 
 
+def _as_data(y) -> np.ndarray:
+    """*y* validated as a matrix when 2-d, else as a vector: finite, not empty."""
+    y = np.asarray(y)
+    return as_matrix(y) if y.ndim == 2 else as_vector(y)
+
+
 def default_zero_tol(y) -> float:
     """Support-detection cutoff 1e-6 * max |entry| of a vector or matrix."""
-    y = np.asarray(y)
-    y = as_matrix(y) if y.ndim == 2 else as_vector(y)
-    return 1e-6 * float(np.max(np.abs(y)))
+    return 1e-6 * float(np.max(np.abs(_as_data(y))))
 
 
-def detect_support(b: np.ndarray, zero_tol: float) -> tuple[int, ...]:
-    """Indices i with |b_i| > zero_tol in the outlier vector *b*, sorted ascending."""
-    return tuple(np.flatnonzero(np.abs(b) > check_zero_tol(zero_tol)).tolist())
+def detect_support(b: np.ndarray, zero_tol: float) -> np.ndarray:
+    """The support of a vector or matrix *b*: the boolean mask |b| > zero_tol."""
+    return np.abs(_as_data(b)) > check_zero_tol(zero_tol)
 
 
 def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,13 +106,11 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
     a, y = as_system(a, y)
     zero_tol = default_zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
     stage1 = loire_solve(a, y, cfg)
-    support = detect_support(stage1.b, zero_tol)
-    if len(support) == y.shape[0]:
+    flagged = detect_support(stage1.b, zero_tol)
+    if flagged.all():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
-    clean = np.ones(y.shape[0], dtype=bool)
-    clean[list(support)] = False
-    x, b = _refit(a, y, clean)
-    return BemSolution(support=support, x=x, b=b, loire=stage1)
+    x, b = _refit(a, y, ~flagged)
+    return BemSolution(support=tuple(np.flatnonzero(flagged).tolist()), x=x, b=b, loire=stage1)
 
 
 def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:

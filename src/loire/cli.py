@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (BenchmarkReport, REPORT_COLUMNS, SimSpec, baseline_lad,
-                        baseline_ols, compute_metrics, detect_matrix_support,
-                        generate_sim)
+                        baseline_ols, compute_metrics, generate_sim)
 from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
                         detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
@@ -195,15 +194,16 @@ def _warn_unconverged(sol, what: str, target: str | None = None) -> None:
 
 
 def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
-    """Run one regression method; returns the solution.json entry."""
+    """Run one regression method; returns the solution.json entry.  gap is
+    LAD's certified relative duality gap, None for the other methods."""
     m = y.shape[0]
     t0 = time.perf_counter()
     trace: list[float] = []
-    converged = True
+    converged, gap = True, None
     if method in ("loire", "appbem"):
         if method == "loire":
             stage1 = sol = loire_solve(a, y, cfg)
-            support = list(detect_support(sol.b, zero_tol))
+            support = np.flatnonzero(detect_support(sol.b, zero_tol)).tolist()
         else:
             sol = app_bem(a, y, cfg, zero_tol)
             stage1, support = sol.loire, list(sol.support)
@@ -222,12 +222,13 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
                    else f"last measured {res.gap:.3g}")
         _warn_unconverged(res, "regress method=lad",
                           f"a relative duality gap of {GAP_TOL:g} ({reached})")
-        x, iterations, converged = res.x, res.iterations, res.converged
+        x, trace, iterations, converged, gap = \
+            res.x, res.objective_trace, res.iterations, res.converged, res.gap
         # drop z first: it sits above the solve's freed arrays on the malloc
         # heap, which cannot shrink while it lives (+3 MB peak on 50000 x 20)
         del res
         b = y - a @ x
-        support = list(detect_support(b, zero_tol))
+        support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
         try:
@@ -251,6 +252,7 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         "objective_trace": trace,
         "iterations": iterations,
         "converged": bool(converged),
+        "gap": gap,
         "wall_time_s": _wall(t0, args.timing),
     }
 
@@ -306,11 +308,10 @@ def cmd_simulate(args) -> int:
         wall = _wall(t0, args.timing)
         _warn_unconverged(sol, f"simulate N={spec.n} seed={spec.seed}")
         zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(inst.y)
-        detected = detect_matrix_support(sol.b, zero_tol)
-        metrics = compute_metrics(detected, inst.true_support)
+        metrics = compute_metrics(detect_support(sol.b, zero_tol), inst.true_support)
         reports.append(BenchmarkReport(method="rrf", spec=spec, metrics=metrics,
                                        wall_time_s=wall, lam=sol.lam, tol=sol.tol,
-                                       iterations=sol.iterations))
+                                       iterations=sol.iterations, converged=sol.converged))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "report.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ import numpy as np
 
 from loire import (FactorizationConfig, LoireConfig, OracleConfig, SimSpec,
                    app_bem, baseline_ols, bernoulli_oracle, compute_metrics,
-                   default_lambda, detect_matrix_support, generate_sim,
+                   default_lambda, detect_support, generate_sim,
                    least_squares_solve, loire_solve, read_pgm, rrf_solve, write_pgm)
 from loire.cli import main as cli_main
 from loire.linalg import as_matrix, as_vector
@@ -154,7 +154,7 @@ def test_criterion_5_benchmark_detection_floor():
                        spike_amplitude=10.0, dense_noise_scale=2.0, seed=seed)
         inst = generate_sim(spec)
         sol = rrf_solve(inst.y, FactorizationConfig(rank=spec.rank, lam=1.0 / 1.6))
-        detected = detect_matrix_support(sol.b, 1e-6 * (1 + np.abs(inst.y).max()))
+        detected = detect_support(sol.b, 1e-6 * (1 + np.abs(inst.y).max()))
         m = compute_metrics(detected, inst.true_support)
         spikes = inst.b_true != 0
         ref_f, ref_dr, _, _ = svd_residual_detector(inst.y, spec.rank, spikes)
@@ -185,8 +185,10 @@ def test_criterion_7_metrics_arithmetic():
     ok = True
     for _ in range(1000):
         tp, fn, fp = (int(v) for v in rng.integers(0, 200, size=3))
-        truth = {(0, i) for i in range(tp + fn)}
-        detected = {(0, i) for i in range(tp)} | {(1, i) for i in range(fp)}
+        truth = np.zeros((2, 400), dtype=bool)
+        truth[0, :tp + fn] = True
+        detected = np.zeros((2, 400), dtype=bool)
+        detected[0, :tp] = detected[1, :fp] = True
         m = compute_metrics(detected, truth)
         dr = tp / (tp + fn) if tp + fn else 1.0
         pre = tp / (tp + fp) if tp + fp else 1.0
@@ -219,14 +221,9 @@ def test_criterion_8_background_modeling(tmp_path):
     rc = cli_main(["bgmodel", str(tmp_path / "seq_*.pgm"), "--rank", "1",
                    "--lambda", "0.1", "--out", str(out)])
     ok = rc == 0
-    truth_set, detected = set(), set()
-    bg_frames = []
-    for j in range(20):
-        fg = read_pgm(out / f"foreground_{j:04d}.pgm")
-        detected |= {(i, j) for i in np.flatnonzero(fg.flatten(order="F") > 0)}
-        truth_set |= {(i, j) for i in np.flatnonzero(truth[j].flatten(order="F"))}
-        bg_frames.append(read_pgm(out / f"background_{j:04d}.pgm").astype(int))
-    m = compute_metrics(detected, truth_set)
+    detected = np.stack([read_pgm(out / f"foreground_{j:04d}.pgm") > 0 for j in range(20)])
+    bg_frames = [read_pgm(out / f"background_{j:04d}.pgm").astype(int) for j in range(20)]
+    m = compute_metrics(detected, np.stack(truth))
     spread = max(np.abs(fr - bg_frames[0]).max() for fr in bg_frames)
     elapsed = time.perf_counter() - t0
     print(f"  mask F = {m.f:.3f}, background spread = {spread} levels, "

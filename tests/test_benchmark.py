@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from loire import (BenchmarkReport, DetectionMetrics, LoireConfig, SimSpec,
                    app_bem, baseline_lad, baseline_ols, compute_metrics, default_lambda,
-                   detect_matrix_support, generate_sim)
+                   detect_support, generate_sim)
 from loire import benchmark
 from loire.benchmark import REPORT_COLUMNS
 from loire.linalg import GAP_TOL, range_projector
@@ -17,7 +17,7 @@ class TestGenerator:
     def test_zero_density_means_no_spikes(self):
         inst = generate_sim(SimSpec(n=30, spike_density=0.0, seed=1))
         np.testing.assert_allclose(inst.b_true, np.zeros((30, 30)))
-        assert inst.true_support == set()
+        assert inst.true_support.dtype == bool and not inst.true_support.any()
 
     def test_low_rank_component_rank(self):
         inst = generate_sim(SimSpec(n=100, rank_frac=0.05, seed=2))
@@ -28,7 +28,7 @@ class TestGenerator:
         b = generate_sim(SimSpec(n=200, seed=7))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.b_true, b.b_true)
-        assert a.true_support == b.true_support
+        assert np.array_equal(a.true_support, b.true_support)
 
     def test_composition(self):
         inst = generate_sim(SimSpec(n=40, seed=3))
@@ -50,8 +50,15 @@ class TestGenerator:
     def test_spike_count_within_binomial_band(self):
         spec = SimSpec(n=100, spike_density=0.05, seed=9)
         inst = generate_sim(spec)
-        frac = len(inst.true_support) / 100**2
+        frac = np.count_nonzero(inst.true_support) / 100**2
         assert 0.8 * 0.05 <= frac <= 1.2 * 0.05
+
+    def test_true_support_is_the_drawn_spike_mask(self):
+        # not b_true != 0: a zero amplitude draws spikes that change no entry
+        inst = generate_sim(SimSpec(n=100, spike_amplitude=0.0, seed=9))
+        assert not inst.b_true.any()
+        assert np.count_nonzero(inst.true_support) \
+            == np.count_nonzero(generate_sim(SimSpec(n=100, seed=9)).true_support) > 0
 
     def test_invalid_spec_raises(self):
         with pytest.raises(ValueError):
@@ -72,8 +79,8 @@ class TestGenerator:
 
 class TestMetrics:
     def test_papers_arithmetic(self):
-        truth = {(0, j) for j in range(10)}
-        detected = {(0, j) for j in range(8)}
+        truth = np.ones(10, dtype=bool)
+        detected = np.arange(10) < 8
         m = compute_metrics(detected, truth)
         assert (m.tp, m.fn, m.fp) == (8, 2, 0)
         assert m.dr == pytest.approx(0.8)
@@ -81,24 +88,28 @@ class TestMetrics:
         assert m.f == pytest.approx(8.0 / 9.0)
 
     def test_perfect_detection(self):
-        s = {(1, 1), (2, 3)}
+        s = np.zeros((3, 4), dtype=bool)
+        s[1, 1] = s[2, 3] = True
         m = compute_metrics(s, s)
         assert m.dr == m.pre == m.f == 1.0
 
     def test_nothing_detected_conventions(self):
-        m = compute_metrics(set(), {(0, 0)})
+        m = compute_metrics(np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool))
         assert m.dr == 0.0 and m.pre == 1.0 and m.f == 0.0
 
     def test_empty_truth_conventions(self):
-        m = compute_metrics(set(), set())
+        m = compute_metrics(np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
         assert m.dr == m.pre == m.f == 1.0
 
     @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))
     def test_identities_and_bounds(self, tp, fn, fp):
-        truth = {(0, i) for i in range(tp + fn)}
-        detected = {(0, i) for i in range(tp)} | {(1, i) for i in range(fp)}
+        truth = np.zeros((2, 1000), dtype=bool)
+        truth[0, :tp + fn] = True
+        detected = np.zeros((2, 1000), dtype=bool)
+        detected[0, :tp] = detected[1, :fp] = True
         m = compute_metrics(detected, truth)
         assert (m.tp, m.fn, m.fp) == (tp, fn, fp)
+        assert all(type(v) is int for v in (m.tp, m.fn, m.fp))
         assert 0.0 <= m.dr <= 1.0 and 0.0 <= m.pre <= 1.0 and 0.0 <= m.f <= 1.0
         assert m.f <= (m.dr + m.pre) / 2 + 1e-12
         if m.dr + m.pre > 0:
@@ -106,13 +117,26 @@ class TestMetrics:
 
     def test_matrix_support_detection(self):
         b = np.array([[0.0, 2.0], [1e-9, -3.0]])
-        assert detect_matrix_support(b, 1e-6) == {(0, 1), (1, 1)}
+        np.testing.assert_array_equal(detect_support(b, 1e-6), [[False, True], [False, True]])
 
     @pytest.mark.parametrize("zero_tol", [-1.0, math.nan])
     def test_matrix_support_rejects_bad_zero_tol(self, zero_tol):
         # -1 would flag every entry, NaN none
         with pytest.raises(ValueError, match="zero_tol"):
-            detect_matrix_support(np.array([[0.0, 2.0]]), zero_tol)
+            detect_support(np.array([[0.0, 2.0]]), zero_tol)
+
+    @pytest.mark.parametrize("detected, truth", [
+        ({(0, 1)}, {(0, 1)}),  # the supports of old: sets of (i, j) pairs
+        ([True, False], [True, False]),
+        (np.array([1, 0]), np.array([1, 0])),
+        (np.array([True, False]), np.array([1, 0])),
+        (np.zeros((2, 3), dtype=bool), np.zeros((3, 2), dtype=bool)),
+        (np.zeros(6, dtype=bool), np.zeros((2, 3), dtype=bool)),
+    ])
+    def test_anything_but_two_masks_of_one_shape_raises(self, detected, truth):
+        # sets or index lists would be read as masks and scored wrong, silently
+        with pytest.raises(TypeError, match="boolean masks of the same shape"):
+            compute_metrics(detected, truth)
 
 
 class TestBaselineOls:
@@ -276,12 +300,12 @@ class TestReportRoundTrip:
             method="rrf", spec=SimSpec(n=200, seed=7),
             metrics=DetectionMetrics(tp=0, fn=0, fp=0, dr=0.8123456789012345,
                                      pre=0.91, f=0.8586),
-            wall_time_s=1.25, lam=0.625, tol=3.337e-05, iterations=41)
+            wall_time_s=1.25, lam=0.625, tol=3.337e-05, iterations=41, converged=False)
         row = rep.to_row()
         assert tuple(row) == REPORT_COLUMNS
         floats = {"lambda": rep.lam, "tol": rep.tol, "DR": rep.metrics.dr,
                   "Pre": rep.metrics.pre, "F": rep.metrics.f, "wall_time_s": rep.wall_time_s}
         for k, v in floats.items():
             assert repr(float(row[k])) == row[k] and float(row[k]) == v
-        assert (row["method"], int(row["N"]), int(row["seed"]), int(row["iterations"])) \
-            == ("rrf", 200, 7, 41)
+        assert (row["method"], int(row["N"]), int(row["seed"]), int(row["iterations"]),
+                row["converged"]) == ("rrf", 200, 7, 41, "false")

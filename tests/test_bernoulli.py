@@ -20,13 +20,38 @@ def _loire_with_b(b):
 
 class TestDetectSupport:
     def test_single_nonzero(self):
-        assert detect_support(_loire_with_b([0.0, 0.0, 3.2]), 1e-6) == (2,)
+        np.testing.assert_array_equal(detect_support(_loire_with_b([0.0, 0.0, 3.2]), 1e-6),
+                                      [False, False, True])
 
     def test_clean_data(self):
-        assert detect_support(_loire_with_b([0.0, 0.0, 0.0]), 1e-6) == ()
+        np.testing.assert_array_equal(detect_support(_loire_with_b([0.0, 0.0, 0.0]), 1e-6),
+                                      [False, False, False])
 
     def test_below_tolerance_excluded(self):
-        assert detect_support(_loire_with_b([1e-9, 0.5, -0.5]), 1e-6) == (1, 2)
+        np.testing.assert_array_equal(detect_support(_loire_with_b([1e-9, 0.5, -0.5]), 1e-6),
+                                      [False, True, True])
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (3, 5)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matrix_support_is_a_mask_of_its_shape(self, shape, order):
+        # a single row or column keeps its 2-d shape; entry (i, j) marks b[i, j]
+        b = np.asarray(np.random.default_rng(1).normal(size=shape), order=order)
+        b[b < 0] = 0.0
+        support = detect_support(b, 1e-6)
+        assert support.dtype == bool and support.shape == shape
+        np.testing.assert_array_equal(support, b != 0)
+
+    @pytest.mark.parametrize("b, message", [
+        ([1.0, math.nan], "vector entries must be finite"),
+        ([[1.0, math.nan]], "matrix entries must be finite"),
+        ([[math.inf], [0.0]], "matrix entries must be finite"),
+        ([], "zero-length vector"),
+        (np.zeros((0, 2)), "zero-size matrix"),
+    ])
+    def test_detect_support_uses_the_array_rule(self, b, message):
+        # a NaN entry would read as "not an outlier"
+        with pytest.raises(ValueError, match=message):
+            detect_support(b, 1e-6)
 
     def test_negative_tolerance_raises(self):
         with pytest.raises(ValueError):
@@ -295,12 +320,13 @@ class TestAgreementWithOracle:
 
 
 class TestSupportTypes:
-    """Supports hold Python ints, so they serialize to JSON as they are."""
+    """detect_support gives a boolean mask; BemSolution.support holds Python
+    ints, so it serializes to JSON as it is."""
 
     def test_detect_support_entries_are_int(self):
-        support = detect_support(_loire_with_b([0.0, -2.0, 0.0, 3.5]), 1e-6)
-        assert support == (1, 3)
-        assert all(type(i) is int for i in support)
+        support = detect_support(np.array([[0.0, -2.0], [0.0, 3.5]]), 1e-6)
+        assert support.dtype == bool and support.shape == (2, 2)
+        np.testing.assert_array_equal(support, [[False, True], [False, True]])
 
     def test_app_bem_support_entries_are_int(self):
         rng = np.random.default_rng(4)
@@ -335,4 +361,5 @@ class TestBenchmarkContract:
             assert wl.check_bem(a, y, sol.x, sol.b, sol.support, sol.loire.objective_trace,
                                 sol.loire.iterations) == []
             _, b_ref, _, _, _ = loire_plain_alternation(a, y, lam)
-            assert sol.support == detect_support(_loire_with_b(b_ref), default_zero_tol(y))
+            assert sol.support == tuple(np.flatnonzero(
+                detect_support(_loire_with_b(b_ref), default_zero_tol(y))))

@@ -222,6 +222,22 @@ class TestRegress:
             assert f"max_iter={max_iter} without reaching a relative duality gap of 0.0001 " \
                 f"{reached}" in warnings[0]
 
+    def test_every_entry_has_a_gap_and_lad_its_trace(self, corrupted_fixture, tmp_path):
+        # gap is LAD's certified relative duality gap, null for every other method
+        path, _ = corrupted_fixture
+        args = ["regress", str(path), "--target", "y", "--intercept", "--timing", "none",
+                "--method", "loire,appbem,ols,lad"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        entries = load_solution(tmp_path / "default")
+        assert [entries[k]["gap"] for k in ("loire", "appbem", "ols")] == [None] * 3
+        lad = entries["lad"]
+        assert lad["converged"] and lad["gap"] <= 1e-4
+        assert len(lad["objective_trace"]) == lad["iterations"] > 0
+        # capped before its first gap check at step 5, LAD has measured no gap
+        assert main(args + ["--max-iter", "1", "--out", str(tmp_path / "capped")]) == 0
+        lad = load_solution(tmp_path / "capped")["lad"]
+        assert lad["gap"] is None and len(lad["objective_trace"]) == 1
+
 
 class TestSimulate:
     def test_zero_density_perfect_scores(self, tmp_path):
@@ -292,6 +308,9 @@ class TestSimulate:
                     if "warning" in line]
         assert len(warnings) == 2
         assert all("max_iter=1" in line for line in warnings)
+        for run, converged in (("default", "true"), ("capped", "false")):
+            with open(tmp_path / run / "report.csv") as fh:
+                assert [row["converged"] for row in csv.DictReader(fh)] == [converged] * 2
 
     def test_unknown_method_rejected(self, tmp_path):
         rc = main(["simulate", "--method", "rpca", "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, compute_metrics,
-                   detect_matrix_support, generate_sim, loire_solve, rrf_objective,
+                   detect_support, generate_sim, loire_solve, rrf_objective,
                    rrf_solve)
 from oracles import counting_svd, rrf_full_svd_alternation, singular_values_bruteforce
 
@@ -150,7 +150,7 @@ class TestSolver:
         inst = generate_sim(SimSpec(n=100, spike_density=0.05, seed=11))
         y = inst.l + inst.b_true
         sol = rrf_solve(y, FactorizationConfig(rank=5, lam=1.0 / 0.03, max_iter=500))
-        detected = detect_matrix_support(sol.b, 1e-6 * (1 + np.abs(y).max()))
+        detected = detect_support(sol.b, 1e-6 * (1 + np.abs(y).max()))
         metrics = compute_metrics(detected, inst.true_support)
         assert metrics.f >= 0.995
 
