@@ -176,8 +176,8 @@ def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     return LadSolution(**vars(run), x=x)
 
 
-REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations", "converged",
-                  "DR", "Pre", "F", "wall_time_s")
+REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations", "DR", "Pre", "F",
+                  "wall_time_s", "converged")
 
 
 @dataclass
@@ -203,9 +203,9 @@ class BenchmarkReport:
             "lambda": repr(self.lam),
             "tol": repr(self.tol),
             "iterations": str(self.iterations),
-            "converged": "true" if self.converged else "false",
             "DR": repr(self.metrics.dr),
             "Pre": repr(self.metrics.pre),
             "F": repr(self.metrics.f),
             "wall_time_s": repr(self.wall_time_s),
+            "converged": "true" if self.converged else "false",
         }
