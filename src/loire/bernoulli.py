@@ -1,10 +1,10 @@
 """Outlier-support estimators built on the shrinkage solver.
 
 `app_bem` detects the outlier rows with the l1 solver, drops them, and
-refits by least squares.  `bernoulli_oracle` certifies the minimal outlier
-support by exhaustive enumeration and is meant for small verification
-instances only.  A support is a boolean mask over the rows; BemSolution
-keeps the flagged rows as sorted 0-based indices.
+refits by least squares from the stage-1 SVD.  `bernoulli_oracle` certifies
+the minimal outlier support by exhaustive enumeration and is meant for small
+verification instances only.  A support is a boolean mask over the rows;
+BemSolution keeps the flagged rows as sorted 0-based indices.
 """
 
 from __future__ import annotations
@@ -16,10 +16,15 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import (as_matrix, as_system, as_vector, check_zero_tol,
-                     least_squares_solve)
-from .regression import LoireConfig, LoireSolution, loire_solve
+                     least_squares_solve, range_factors)
+from .regression import LoireConfig, LoireSolution, _loire_solve
 
 ENUMERATION_CAP = 10**6
+
+# the least lambda_min(U_cᵀU_c) at which a refit downdates the SVD of A:
+# its error, eps cond(A) / lambda_min, is then within 2x of a fresh solve's
+# eps cond(A) / sqrt(lambda_min)
+REFIT_FLOOR = 0.25
 
 
 class AllRowsOutliers(ValueError):
@@ -74,16 +79,28 @@ def detect_support(b: np.ndarray, zero_tol: float) -> np.ndarray:
     return np.abs(_as_data(b)) > check_zero_tol(zero_tol)
 
 
-def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fit on the rows where *clean* is True; returns (x, b).
+def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray, factors) -> np.ndarray:
+    """Least-squares x on the rows where *clean* is True.
 
-    b is y - A x on the other rows and 0 on the clean ones, so y - A x - b
-    vanishes exactly off the clean rows; x = 0 when no row is clean.
+    *factors* are the `range_factors` U S Vᵀ of A.  When A keeps all n
+    directions and G = U_cᵀU_c = I - U_oᵀU_o (o the other rows) has
+    lambda_min(G) >= REFIT_FLOOR, the fit downdates them (Golub & Van Loan,
+    Matrix Computations, section 6.5): x = V S⁻¹ G⁻¹ U_cᵀ y_c.  With
+    U_o = P sigma Qᵀ, G = I - Q sigma² Qᵀ, so lambda_min(G) = 1 - sigma_max²
+    and G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ.  Otherwise
+    `least_squares_solve` fits A[clean], whose minimum-norm rule covers a
+    rank-deficient A and other rows that carry a direction of A; x = 0 when
+    no row is clean.
     """
-    x = least_squares_solve(a[clean], y[clean]) if clean.any() else np.zeros(a.shape[1])
-    b = y - a @ x
-    b[clean] = 0.0
-    return x, b
+    u, s, vt = factors
+    if s.size == a.shape[1]:
+        _, sigma, qt = np.linalg.svd(u[~clean], full_matrices=False)
+        sq = sigma * sigma
+        if 1.0 - np.max(sq, initial=0.0) >= REFIT_FLOOR:
+            coef = u.T @ np.where(clean, y, 0.0)  # U_cᵀ y_c
+            coef += qt.T @ (sq / (1.0 - sq) * (qt @ coef))
+            return vt.T @ (coef / s)
+    return least_squares_solve(a[clean], y[clean]) if clean.any() else np.zeros(a.shape[1])
 
 
 def enumeration_count(m: int, max_support: int) -> int:
@@ -102,14 +119,23 @@ def enumeration_count(m: int, max_support: int) -> int:
 
 
 def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolution:
-    """Two-stage estimate: shrinkage-based support detection, then clean refit."""
+    """Two-stage estimate: shrinkage-based support detection, then clean refit.
+
+    The stage-1 solve and the refit share one validation and one SVD of A.
+    """
     a, y = as_system(a, y)
     zero_tol = default_zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
-    stage1 = loire_solve(a, y, cfg)
+    factors = range_factors(a)
+    stage1 = _loire_solve(a, y, cfg, factors)
     flagged = detect_support(stage1.b, zero_tol)
     if flagged.all():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
-    x, b = _refit(a, y, ~flagged)
+    x = _refit(a, y, ~flagged, factors)
+    # b is formed once the refit's temporaries are freed and reuses their
+    # heap space; formed among them it pins the heap top (+3 MB peak for a
+    # later solve on 50000 x 20)
+    b = y - a @ x
+    b[~flagged] = 0.0
     return BemSolution(support=tuple(np.flatnonzero(flagged).tolist()), x=x, b=b, loire=stage1)
 
 
@@ -125,11 +151,14 @@ def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
     m = y.shape[0]
     max_support = min(cfg.max_support, m)
     enumeration_count(m, max_support)
+    factors = range_factors(a)
     for k in range(max_support + 1):
         for cand in combinations(range(m), k):
             clean = np.ones(m, dtype=bool)
             clean[list(cand)] = False
-            x, b = _refit(a, y, clean)
+            x = _refit(a, y, clean, factors)
+            b = y - a @ x
+            b[clean] = 0.0
             if float(np.linalg.norm(y - a @ x - b)) <= cfg.t:
                 return BemSolution(support=cand, x=x, b=b, loire=None)
     raise InfeasibleRadius(f"infeasible at this t: no support of size <= {max_support} "

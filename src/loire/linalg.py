@@ -90,19 +90,29 @@ def least_squares_solve(a, y) -> np.ndarray:
     return x
 
 
-def range_projector(a: np.ndarray):
-    """Projector onto the numerical range of *a*, from one thin SVD.
+def range_factors(a: np.ndarray):
+    """The thin SVD A = U S Vᵀ cut to the numerical range of *a*.
 
     Directions with singular value at most max(m, n) * eps * sigma_max are
-    dropped, the rule of `least_squares_solve`.  Returns (project, x, null):
+    dropped, the rule of `least_squares_solve`.  Returns (u_r, sigma_r,
+    vt_r); A keeps every direction when sigma_r has n entries.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
+    return u[:, keep], s[keep], vt[keep]
+
+
+def range_projector(a: np.ndarray, factors=None):
+    """Projector onto the numerical range of *a*, from its `range_factors`.
+
+    *factors* are those of *a* when a caller already holds them, else they
+    are computed here.  Returns (project, x, null):
     project(res) overwrites res with A x, where x = vt_rᵀ ((u_rᵀ res) / sigma_r)
     is the minimum-norm fit of res, and leaves that fit in the array x;
     null(d, scratch) overwrites d with d - u_r u_rᵀ d, its part orthogonal to
     the range, through scratch (an array of d's shape) and without touching x.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
-    ur, sr, vr = u[:, keep], s[keep], vt[keep]
+    ur, sr, vr = range_factors(a) if factors is None else factors
     coef = np.empty(sr.shape[0])
     x = np.zeros(a.shape[1])
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ShrinkRun, _shrink_project, as_matrix, as_system, as_vector,
-                     check_solver_settings, range_projector)
+                     check_solver_settings, range_factors, range_projector)
 
 
 @dataclass(frozen=True)
@@ -74,5 +74,11 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    project, x, _ = range_projector(a)
+    return _loire_solve(a, y, cfg, range_factors(a))
+
+
+def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors) -> LoireSolution:
+    """`loire_solve` on a system `as_system` validated, with the
+    `range_factors` of *a* given, so a caller that reuses them factors A once."""
+    project, x, _ = range_projector(a, factors)
     return LoireSolution(**vars(_shrink_project(y, project, cfg)), x=x)

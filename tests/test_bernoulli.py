@@ -1,6 +1,6 @@
 import math
 import types
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +9,10 @@ import pytest
 from loire import (AllRowsOutliers, InfeasibleRadius, LoireConfig, OracleConfig,
                    app_bem, bernoulli_log_likelihood,
                    bernoulli_oracle, default_zero_tol, detect_support,
-                   default_lambda, least_squares_solve)
-from oracles import loire_plain_alternation
+                   default_lambda, least_squares_solve, loire_solve)
+from loire.bernoulli import _refit
+from loire.linalg import range_factors
+from oracles import counting_svd, loire_plain_alternation
 
 
 def _loire_with_b(b):
@@ -120,7 +122,7 @@ class TestAppBem:
     def test_bad_zero_tol_raises_before_the_solve(self, monkeypatch, zero_tol):
         def no_solve(*args):
             raise AssertionError("app_bem solved before checking zero_tol")
-        monkeypatch.setattr("loire.bernoulli.loire_solve", no_solve)
+        monkeypatch.setattr("loire.bernoulli._loire_solve", no_solve)
         with pytest.raises(ValueError, match="zero_tol"):
             app_bem(np.ones((3, 1)), [1.0, 1.0, 5.0], LoireConfig(lam=1.0), zero_tol)
 
@@ -146,6 +148,110 @@ class TestAppBem:
             errs.append(err)
             assert err <= 10 * sigma * np.linalg.cond(a) / math.sqrt(27)
         assert np.percentile(errs, 95) <= 0.035
+
+
+class TestRefit:
+    """The clean-row refit downdates the stage-1 SVD of a full-rank A, and
+    falls back to the minimum-norm least_squares_solve on the clean rows."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The systems the refit hands to least_squares_solve."""
+        calls = []
+
+        def counted(a, y):
+            calls.append(np.shape(a))
+            return least_squares_solve(a, y)
+
+        monkeypatch.setattr("loire.bernoulli.least_squares_solve", counted)
+        return calls
+
+    def test_full_rank_app_bem_factors_a_once(self, monkeypatch):
+        lstsq = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: lstsq.append(1) or real(*args, **kw))
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(50, 3))
+        y = a @ [1.0, -2.0, 0.5] + rng.normal(0, 0.1, size=50)
+        y[[4, 20, 33]] += [9.0, -7.0, 12.0]
+        with counting_svd() as shapes:
+            sol = app_bem(a, y, LoireConfig())
+        # one SVD of A; the other is of U_o, its left factor on the 3 flagged rows
+        assert shapes == [(50, 3), (3, 3)] and lstsq == []
+        assert sol.support == (4, 20, 33)
+
+    def test_batch_problems_match_a_fresh_least_squares_solve(self, fallbacks):
+        # stage 1 is the plain loire_solve bit for bit, the refit agrees with
+        # lstsq on the clean rows to 1e-12 relative without calling it, and
+        # the benchmark's appBEM contract holds
+        wl = _perfbench_workloads()
+        problems = islice(wl.batch_problems(0, wl.sizes("regress-batch", smoke=False)), 200)
+        for a, y, _, _ in problems:
+            sol = app_bem(a, y, LoireConfig())
+            stage1 = loire_solve(a, y, LoireConfig())
+            assert sol.loire.lam == stage1.lam and sol.loire.iterations == stage1.iterations
+            assert np.array_equal(sol.loire.b, stage1.b) and np.array_equal(sol.loire.x, stage1.x)
+            assert sol.loire.objective_trace == stage1.objective_trace
+            flagged = detect_support(stage1.b, default_zero_tol(y))
+            assert sol.support == tuple(np.flatnonzero(flagged))
+            x = least_squares_solve(a[~flagged], y[~flagged])
+            assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+            assert wl.check_bem(a, y, sol.x, sol.b, sol.support, sol.loire.objective_trace,
+                                sol.loire.iterations) == []
+        assert fallbacks == []
+
+    def test_huge_outliers_cost_the_refit_no_digits(self, fallbacks):
+        # U_cᵀ y_c is taken with the flagged entries of y zeroed, not as
+        # Uᵀy - U_oᵀy_o, which would cancel the outliers' 1e8 in the clean fit
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(500, 10))
+        y = a @ rng.normal(size=10) + rng.normal(size=500)
+        rows = rng.choice(500, size=25, replace=False)
+        y[rows] += 1e8 * rng.choice([-1.0, 1.0], size=25)
+        sol = app_bem(a, y, LoireConfig())
+        assert sol.support == tuple(sorted(rows)) and fallbacks == []
+        clean = np.ones(500, dtype=bool)
+        clean[rows] = False
+        x = least_squares_solve(a[clean], y[clean])
+        assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_predictor_only_on_flagged_rows_gets_coefficient_zero(self, fallbacks):
+        # z is nonzero only on rows 6 and 21, whose gross outliers have
+        # opposite signs, so stage 1 flags both (on one row alone z would fit
+        # it exactly); with z = 0 on every clean row, U_cᵀU_c is singular
+        rng = np.random.default_rng(0)
+        t = rng.uniform(0, 10, 40)
+        z = np.zeros(40)
+        z[[6, 21]] = 1.0
+        a = np.column_stack([np.ones(40), t, z])
+        y = 1 + 2.5 * t + rng.normal(0, 0.1, 40)
+        y[[6, 12, 21]] += [30.0, 40.0, -25.0]
+        sol = app_bem(a, y, LoireConfig())
+        assert sol.support == (6, 12, 21) and fallbacks == [(37, 3)]
+        clean = np.ones(40, dtype=bool)
+        clean[[6, 12, 21]] = False
+        assert np.array_equal(sol.x, least_squares_solve(a[clean], y[clean]))
+        assert sol.x[2] == 0.0
+
+    def test_rank_deficient_a_gets_the_minimum_norm_fit(self, fallbacks):
+        rng = np.random.default_rng(3)
+        t = rng.normal(size=30)
+        a = np.column_stack([np.ones(30), t, t])
+        y = 1.0 + 2.0 * t + 0.01 * rng.normal(size=30)
+        y[[5, 17]] += [15.0, -20.0]
+        sol = app_bem(a, y, LoireConfig())
+        assert sol.support == (5, 17) and fallbacks == [(28, 3)]
+        clean = np.ones(30, dtype=bool)
+        clean[[5, 17]] = False
+        assert np.array_equal(sol.x, least_squares_solve(a[clean], y[clean]))
+        assert sol.x[1] == pytest.approx(sol.x[2], rel=1e-12)  # the split of least norm
+
+    def test_no_clean_row_gives_x_zero(self, fallbacks):
+        a = np.random.default_rng(2).normal(size=(4, 2))
+        x = _refit(a, np.arange(4.0), np.zeros(4, dtype=bool), range_factors(a))
+        assert np.array_equal(x, np.zeros(2))
+        assert fallbacks == []
 
 
 class TestOracle:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, app_bem, baseline_lad,
                    default_lambda, default_zero_tol,
@@ -81,12 +81,21 @@ class TestScaleEquivariance:
 
     @settings(deadline=None)
     @given(SEEDS, POWERS)
+    @example(3473, -1)
     def test_rrf_solve_scales_with_y(self, seed, k):
         y, r = _planted_low_rank(seed)
         s = 10.0 ** k
-        base = rrf_solve(y, FactorizationConfig(rank=r))
+        default = rrf_solve(y, FactorizationConfig(rank=r, max_iter=1)).tol
+        scaled = rrf_solve(s * y, FactorizationConfig(rank=r, max_iter=1))
+        assert scaled.tol == pytest.approx(s * default, rel=1e-12)
+        # The default stop ||ΔB|| <= tol can fire one step apart on y and s y
+        # (seed 3473, k = -1: steps 10 and 11), which moves the answer by up
+        # to tol itself, 2.06e-7 relative there.  At a tol 1000 times tighter,
+        # scaled by s on one side, that step moves it far less than the bound.
+        tol = 1e-3 * default
+        base = rrf_solve(y, FactorizationConfig(rank=r, tol=tol))
         assume(base.converged)  # a few instances need more than max_iter steps
-        scaled = rrf_solve(s * y, FactorizationConfig(rank=r))
+        scaled = rrf_solve(s * y, FactorizationConfig(rank=r, tol=s * tol))
         assert scaled.converged
         assert _close(scaled.low_rank(), base.low_rank(), s) and _close(scaled.b, base.b, s)
         assert np.array_equal(detect_support(scaled.b, default_zero_tol(s * y)),
