@@ -174,38 +174,3 @@ def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
         if vertex is not None:
             x, run.b, run.gap = vertex
     return LadSolution(**vars(run), x=x)
-
-
-REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations", "DR", "Pre", "F",
-                  "wall_time_s", "converged")
-
-
-@dataclass
-class BenchmarkReport:
-    """One benchmark run; to_row gives its report.csv row, whose floats are
-    written by repr, so each parses back to the same float, and whose
-    converged reads true or false, as in the JSON outputs."""
-
-    method: str
-    spec: SimSpec
-    metrics: DetectionMetrics
-    wall_time_s: float
-    lam: float
-    tol: float
-    iterations: int
-    converged: bool
-
-    def to_row(self) -> dict:
-        return {
-            "method": self.method,
-            "N": str(self.spec.n),
-            "seed": str(self.spec.seed),
-            "lambda": repr(self.lam),
-            "tol": repr(self.tol),
-            "iterations": str(self.iterations),
-            "DR": repr(self.metrics.dr),
-            "Pre": repr(self.metrics.pre),
-            "F": repr(self.metrics.f),
-            "wall_time_s": repr(self.wall_time_s),
-            "converged": "true" if self.converged else "false",
-        }

@@ -157,22 +157,10 @@ def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
             clean = np.ones(m, dtype=bool)
             clean[list(cand)] = False
             x = _refit(a, y, clean, factors)
-            b = y - a @ x
-            b[clean] = 0.0
-            if float(np.linalg.norm(y - a @ x - b)) <= cfg.t:
-                return BemSolution(support=cand, x=x, b=b, loire=None)
+            r = y - a @ x
+            # the residual y - A x - b: r on the clean rows, 0 on the flagged
+            if float(np.linalg.norm(np.where(clean, r, 0.0))) <= cfg.t:
+                r[clean] = 0.0  # b: y - A x on the flagged rows
+                return BemSolution(support=cand, x=x, b=r, loire=None)
     raise InfeasibleRadius(f"infeasible at this t: no support of size <= {max_support} "
                            f"leaves residual within {cfg.t}")
-
-
-def bernoulli_log_likelihood(outlier_count: int, m: int, p: float) -> float:
-    """(m - k) ln p + k ln(1 - p) for k flagged rows out of m.
-
-    p is the probability of a normal measurement and must lie in (1/2, 1);
-    the value is strictly decreasing in outlier_count.
-    """
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"p={p} must lie in the open interval (1/2, 1)")
-    if not 0 <= outlier_count <= m:
-        raise ValueError(f"outlier_count={outlier_count} out of range [0, {m}]")
-    return (m - outlier_count) * math.log(p) + outlier_count * math.log(1.0 - p)

@@ -19,8 +19,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .benchmark import (BenchmarkReport, REPORT_COLUMNS, SimSpec, baseline_lad,
-                        baseline_ols, compute_metrics, generate_sim)
+from .benchmark import SimSpec, baseline_lad, baseline_ols, compute_metrics, generate_sim
 from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
                         detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
@@ -33,6 +32,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 REGRESS_METHODS = ("loire", "appbem", "ols", "lad", "oracle")
+
+REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations", "DR", "Pre", "F",
+                  "wall_time_s", "converged")
 
 
 class UsageError(Exception):
@@ -300,7 +302,9 @@ def cmd_simulate(args) -> int:
         if args.zero_tol is not None:
             check_zero_tol(args.zero_tol)
 
-    reports = []
+    # floats by repr, so each parses back to the same float; converged reads
+    # true or false, as in the JSON outputs
+    rows = []
     for spec, cfg in zip(specs, cfgs):
         inst = generate_sim(spec)
         t0 = time.perf_counter()
@@ -309,16 +313,17 @@ def cmd_simulate(args) -> int:
         _warn_unconverged(sol, f"simulate N={spec.n} seed={spec.seed}")
         zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(inst.y)
         metrics = compute_metrics(detect_support(sol.b, zero_tol), inst.true_support)
-        reports.append(BenchmarkReport(method="rrf", spec=spec, metrics=metrics,
-                                       wall_time_s=wall, lam=sol.lam, tol=sol.tol,
-                                       iterations=sol.iterations, converged=sol.converged))
+        rows.append({"method": "rrf", "N": str(spec.n), "seed": str(spec.seed),
+                     "lambda": repr(sol.lam), "tol": repr(sol.tol),
+                     "iterations": str(sol.iterations), "DR": repr(metrics.dr),
+                     "Pre": repr(metrics.pre), "F": repr(metrics.f), "wall_time_s": repr(wall),
+                     "converged": "true" if sol.converged else "false"})
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "report.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(REPORT_COLUMNS))
+        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
-        for rep in reports:
-            writer.writerow(rep.to_row())
+        writer.writerows(rows)
     print(out_path)
     return EXIT_OK
 

@@ -50,19 +50,6 @@ class FactorizationSolution(ShrinkRun):
         return self.a @ self.x
 
 
-def rrf_objective(y, a, x, b, lam: float) -> float:
-    """||B||_1 (entrywise) + (lam/2) ||Y - A X - B||_F^2."""
-    y = as_matrix(y)
-    a = as_matrix(a)
-    x = as_matrix(x)
-    b = as_matrix(b)
-    if a.shape[0] != y.shape[0] or x.shape[1] != y.shape[1] \
-            or a.shape[1] != x.shape[0] or b.shape != y.shape:
-        raise ValueError("inconsistent dimensions for objective evaluation")
-    r = y - a @ x - b
-    return float(np.sum(np.abs(b)) + 0.5 * lam * np.sum(r * r))
-
-
 def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of the top-r left singular subspace of *m_mat*.
 
@@ -91,8 +78,8 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     """Alternating descent from B_0 = 0.
 
     Each iteration takes rank-r factors of Y - B (A with orthonormal columns,
-    X = sigma * Vt rows) and then shrinks the residual:
-    B <- soft_threshold(Y - A X, 1/lam).  Every iteration factors by one
+    X = sigma * Vt rows) and then shrinks the residual V = Y - A X:
+    B <- sign(V) max(|V| - 1/lam, 0).  Every iteration factors by one
     Rayleigh-Ritz rank-r step from a start A: on the first, the top-r
     eigenvectors of the Gram matrix of Y's shorter side, so the first fit is
     the best rank-r fit of Y without a full SVD; later, the previous A.

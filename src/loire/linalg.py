@@ -278,16 +278,3 @@ def _shrink_project(y: np.ndarray, project, cfg, dual=None) -> ShrinkRun:
             if gap <= GAP_TOL:
                 return ShrinkRun(b, trace, it, True, tol, lam, gap)
     return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam, gap)
-
-
-def soft_threshold(v, tau: float):
-    """Proximal operator of tau * |.|: sign(v) * max(|v| - tau, 0).
-
-    Elementwise on arrays; scalar in, scalar out.
-    """
-    if not tau >= 0:  # NaN fails
-        raise ValueError(f"threshold tau={tau} must be nonnegative")
-    out = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0) + 0.0  # +0.0 normalizes -0.0
-    if np.isscalar(v):
-        return float(out)
-    return out

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ShrinkRun, _shrink_project, as_matrix, as_system, as_vector,
-                     check_solver_settings, range_factors, range_projector)
+from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings,
+                     range_factors, range_projector)
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,6 @@ class LoireSolution(ShrinkRun):
     x: np.ndarray
 
 
-def loire_objective(a, y, x, b, lam: float) -> float:
-    """||b||_1 + (lam/2) ||y - A x - b||_2^2."""
-    a = as_matrix(a)
-    y = as_vector(y)
-    x = as_vector(x) if np.ndim(x) else np.atleast_1d(np.float64(x))
-    b = as_vector(b)
-    if a.shape[0] != y.shape[0] or a.shape[1] != x.shape[0] or b.shape[0] != y.shape[0]:
-        raise ValueError("inconsistent dimensions for objective evaluation")
-    r = y - a @ x - b
-    return float(np.sum(np.abs(b)) + 0.5 * lam * np.dot(r, r))
-
-
 def default_lambda(a, y) -> float:
     """The penalty weight a solve with lam=None applies.
 
@@ -68,9 +56,10 @@ def default_lambda(a, y) -> float:
 def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     """Run the alternating-descent solver from b_0 = 0.
 
-    Each iteration applies x <- pinv(A)(y - b) and then
-    b <- soft_threshold(y - A x, 1/lam).  Stops when ||b_{k+1} - b_k||_2
-    drops to cfg.tol; hitting max_iter first returns converged=False.
+    Each iteration applies x <- pinv(A)(y - b) and then the shrink
+    b <- sign(v) max(|v| - 1/lam, 0) on v = y - A x.  Stops when
+    ||b_{k+1} - b_k||_2 drops to cfg.tol; hitting max_iter first returns
+    converged=False.
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)

@@ -13,6 +13,23 @@ import numpy as np
 from loire.linalg import _mad_lambda, range_projector
 
 
+def shrink(v, tau):
+    """The proximal operator of tau |.|: sign(v) max(|v| - tau, 0), elementwise."""
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def loire_objective(a, y, x, b, lam):
+    """The regression objective ||b||_1 + (lam/2) ||y - A x - b||_2^2."""
+    r = y - np.matmul(a, x) - b
+    return float(np.sum(np.abs(b)) + 0.5 * lam * np.dot(r, r))
+
+
+def rrf_objective(y, a, x, b, lam):
+    """The factorization objective ||B||_1 (entrywise) + (lam/2) ||Y - A X - B||_F^2."""
+    r = y - np.matmul(a, x) - b
+    return float(np.sum(np.abs(b)) + 0.5 * lam * np.sum(r * r))
+
+
 def jacobi_eigh(sym, tol=1e-13, max_sweeps=100):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 

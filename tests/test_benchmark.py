@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loire import (BenchmarkReport, DetectionMetrics, LoireConfig, SimSpec,
-                   app_bem, baseline_lad, baseline_ols, compute_metrics, default_lambda,
-                   detect_support, generate_sim)
+from loire import (LoireConfig, SimSpec, app_bem, baseline_lad, baseline_ols,
+                   compute_metrics, default_lambda, detect_support, generate_sim)
 from loire import benchmark
-from loire.benchmark import REPORT_COLUMNS
 from loire.linalg import GAP_TOL, range_projector
 from oracles import lad_admm_reference
 
@@ -296,19 +294,3 @@ def _lp_l1_optimum(linprog, a, y):
     assert lp.status == 0
     return lp.fun
 
-
-class TestReportRoundTrip:
-    def test_row_round_trip_is_lossless(self):
-        rep = BenchmarkReport(
-            method="rrf", spec=SimSpec(n=200, seed=7),
-            metrics=DetectionMetrics(tp=0, fn=0, fp=0, dr=0.8123456789012345,
-                                     pre=0.91, f=0.8586),
-            wall_time_s=1.25, lam=0.625, tol=3.337e-05, iterations=41, converged=False)
-        row = rep.to_row()
-        assert tuple(row) == REPORT_COLUMNS
-        floats = {"lambda": rep.lam, "tol": rep.tol, "DR": rep.metrics.dr,
-                  "Pre": rep.metrics.pre, "F": rep.metrics.f, "wall_time_s": rep.wall_time_s}
-        for k, v in floats.items():
-            assert repr(float(row[k])) == row[k] and float(row[k]) == v
-        assert (row["method"], int(row["N"]), int(row["seed"]), int(row["iterations"]),
-                row["converged"]) == ("rrf", 200, 7, 41, "false")

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from loire import (AllRowsOutliers, InfeasibleRadius, LoireConfig, OracleConfig,
-                   app_bem, bernoulli_log_likelihood,
-                   bernoulli_oracle, default_zero_tol, detect_support,
+                   app_bem, bernoulli_oracle, default_zero_tol, detect_support,
                    default_lambda, least_squares_solve, loire_solve)
 from loire.bernoulli import _refit
 from loire.linalg import range_factors
@@ -351,55 +350,6 @@ class TestOracle:
             clean = np.setdiff1d(np.arange(10), np.asarray(sol.support))
             x_refit = least_squares_solve(a[clean], y[clean])
             np.testing.assert_allclose(a @ sol.x, a @ x_refit, atol=1e-10)
-
-
-class TestLogLikelihood:
-    def test_direct_evaluation(self):
-        assert bernoulli_log_likelihood(0, 10, 0.9) == pytest.approx(10 * math.log(0.9))
-
-    def test_all_outlier_case(self):
-        assert bernoulli_log_likelihood(7, 7, 0.8) == pytest.approx(7 * math.log(0.2))
-
-    def test_strictly_decreasing_steps(self):
-        for p in (0.51, 0.7, 0.99):
-            for k in range(5):
-                step = (bernoulli_log_likelihood(k + 1, 5, p)
-                        - bernoulli_log_likelihood(k, 5, p))
-                assert step == pytest.approx(math.log((1 - p) / p))
-                assert step < 0
-
-    @pytest.mark.parametrize("p", [0.5, 1.0, 0.2, 1.3])
-    def test_invalid_p_raises(self, p):
-        with pytest.raises(ValueError):
-            bernoulli_log_likelihood(1, 5, p)
-
-    def test_out_of_range_count_raises(self):
-        with pytest.raises(ValueError):
-            bernoulli_log_likelihood(6, 5, 0.9)
-
-    def test_feasible_maximizer_is_minimal_support(self):
-        # among feasible supports, maximizing the likelihood score picks a
-        # minimal-cardinality one for any valid p
-        rng = np.random.default_rng(77)
-        m, n = 8, 1
-        a = rng.normal(size=(m, n))
-        y = a @ rng.normal(size=n) + rng.normal(0, 0.02, size=m)
-        y[2] += 5.0
-        t = 0.3
-        feasible = []
-        for k in range(m + 1):
-            for sup in combinations(range(m), k):
-                clean = np.setdiff1d(np.arange(m), np.asarray(sup, dtype=int))
-                if clean.size == 0:
-                    feasible.append(sup)
-                    continue
-                x = least_squares_solve(a[clean], y[clean])
-                if np.linalg.norm(y[clean] - a[clean] @ x) <= t:
-                    feasible.append(sup)
-        k_min = min(len(s) for s in feasible)
-        for p in (0.55, 0.75, 0.95):
-            best = max(feasible, key=lambda s: bernoulli_log_likelihood(len(s), m, p))
-            assert len(best) == k_min
 
 
 class TestAgreementWithOracle:

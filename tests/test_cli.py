@@ -6,8 +6,7 @@ import pytest
 
 from loire import (FactorizationConfig, SimSpec, generate_sim, linalg, read_pgm, rrf_solve,
                    write_pgm)
-from loire.benchmark import REPORT_COLUMNS
-from loire.cli import main
+from loire.cli import REPORT_COLUMNS, main
 
 
 def write_csv(path, header, rows):
@@ -273,6 +272,8 @@ class TestSimulate:
             for k in ("lambda", "tol", "DR", "Pre", "F", "wall_time_s"):
                 assert repr(float(row[k])) == row[k]
             assert int(row["iterations"]) >= 1
+            assert row["method"] == "rrf"
+            assert row["converged"] in ("true", "false")
 
     def test_default_lambda_detects_spikes(self, tmp_path):
         # the default is rrf_solve's own lam=None rule; the old

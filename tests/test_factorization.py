@@ -4,46 +4,9 @@ import numpy as np
 import pytest
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, compute_metrics,
-                   detect_support, generate_sim, loire_solve, rrf_objective,
-                   rrf_solve)
-from oracles import counting_svd, rrf_full_svd_alternation, singular_values_bruteforce
-
-
-class TestObjective:
-    def test_exact_factorization_is_zero(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 2))
-        x = rng.normal(size=(2, 4))
-        y = a @ x
-        assert rrf_objective(y, a, x, np.zeros((5, 4)), 3.0) == pytest.approx(0.0)
-
-    def test_corruption_absorbs_everything(self):
-        rng = np.random.default_rng(1)
-        y = rng.normal(size=(4, 3))
-        val = rrf_objective(y, np.zeros((4, 2)), np.zeros((2, 3)), y, 2.0)
-        assert val == pytest.approx(np.abs(y).sum())
-
-    def test_matches_naive_recomputation(self):
-        rng = np.random.default_rng(2)
-        y = rng.normal(size=(5, 4))
-        a = rng.normal(size=(5, 2))
-        x = rng.normal(size=(2, 4))
-        b = rng.normal(size=(5, 4))
-        lam = 0.7
-        acc = 0.0
-        for i in range(5):
-            for j in range(4):
-                acc += abs(b[i, j])
-                r = y[i, j] - b[i, j]
-                for k in range(2):
-                    r -= a[i, k] * x[k, j]
-                acc += 0.5 * lam * r * r
-        assert rrf_objective(y, a, x, b, lam) == pytest.approx(acc, rel=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            rrf_objective(np.ones((3, 3)), np.ones((3, 2)), np.ones((2, 2)),
-                          np.ones((3, 3)), 1.0)
+                   detect_support, generate_sim, loire_solve, rrf_solve)
+from oracles import (counting_svd, rrf_full_svd_alternation, rrf_objective,
+                     singular_values_bruteforce)
 
 
 class TestConfig:
