@@ -9,7 +9,7 @@ from .bernoulli import (AllRowsOutliers, BemSolution, InfeasibleRadius,
                         detect_support)
 from .factorization import FactorizationConfig, FactorizationSolution, rrf_solve
 from .benchmark import (DetectionMetrics, LadSolution, SimInstance, SimSpec, baseline_lad,
-                        baseline_ols, compute_metrics, generate_sim)
+                        compute_metrics, generate_sim)
 from .pgm import FrameStack, PgmError, read_pgm, write_pgm
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "app_bem", "bernoulli_oracle", "default_zero_tol", "detect_support",
     "FactorizationConfig", "FactorizationSolution", "rrf_solve",
     "DetectionMetrics", "LadSolution", "SimInstance", "SimSpec",
-    "baseline_lad", "baseline_ols", "compute_metrics", "generate_sim",
+    "baseline_lad", "compute_metrics", "generate_sim",
     "FrameStack", "PgmError", "read_pgm", "write_pgm",
 ]

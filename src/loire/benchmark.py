@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (GAP_TOL, ShrinkRun, _shrink_project, as_system, least_squares_solve,
-                     range_projector)
+from .linalg import ShrinkRun, _shrink_project, as_system, range_projector
 from .regression import LoireConfig
 
 
@@ -100,17 +99,12 @@ def compute_metrics(detected: np.ndarray, truth: np.ndarray) -> DetectionMetrics
     return DetectionMetrics(tp=tp, fn=fn, fp=fp, dr=dr, pre=pre, f=f)
 
 
-def baseline_ols(a, y) -> np.ndarray:
-    """Non-robust least-squares reference."""
-    return least_squares_solve(a, y)
-
-
 @dataclass
 class LadSolution(ShrinkRun):
     """b is the split variable z, lam the ADMM penalty rho, objective_trace
     ||z||_1 + (rho/2) ||y - A x - z||^2, tol the stop on ||r|| and ||Δz||,
-    and gap the relative duality gap of x last measured; after a vertex step
-    x is that vertex, b = y - A x and gap its own certificate's."""
+    and gap the relative duality gap last measured; a certified vertex step
+    sets x to the vertex, b = y - A x, gap to its certificate's and converged."""
 
     x: np.ndarray
 
@@ -120,10 +114,10 @@ def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
 
     The basis B is the n rows of smallest |y - A x|; x_B solves A_B x = y_B.
     With r = y - A x_B, d_N = sign(r_N) and d_B solving A_Bᵀ d_B = -A_Nᵀ d_N,
-    d is dual feasible (Aᵀd = 0) when |d_B| <= 1, and then yᵀd = ||r||_1
-    proves x_B optimal.  Both systems are solved by `np.linalg.lstsq`, whose
-    rank rule refuses a singular A_B.  Returns (x_B, r, relative gap), or
-    None when A_B is rank-deficient, |d_B| > 1, or x_B fits worse than x.
+    d is dual feasible (Aᵀd = 0) when |d_B| <= 1; then yᵀd, a lower bound on
+    every ||y - A x||_1, equals ||r||_1 and proves x_B optimal.  Both systems
+    are solved by `np.linalg.lstsq`, whose rank rule refuses a singular A_B.
+    Returns (x_B, r, relative gap), or None for a singular A_B or |d_B| > 1.
     """
     m, n = a.shape
     if m < n:
@@ -131,7 +125,6 @@ def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
     r = a @ x  # the one residual buffer, then d: two arrays of y's size
     np.subtract(y, r, out=r)
     np.abs(r, out=r)
-    f = float(r.sum())
     basis = np.sort(np.argpartition(r, n - 1)[:n])
     a_b = a[basis]
     x_b, _, rank, _ = np.linalg.lstsq(a_b, y[basis], rcond=None)
@@ -144,12 +137,12 @@ def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
     np.sign(r, out=d)
     d[basis] = 0.0
     d[basis] = np.linalg.lstsq(a_b.T, -(a.T @ d), rcond=None)[0]
-    if not (np.all(np.abs(d[basis]) <= 1.0) and f_b <= f):  # NaN fails
+    if not np.all(np.abs(d[basis]) <= 1.0):  # NaN fails
         return None
     return x_b, r, ((f_b - float(y @ d)) / f_b if f_b > 0.0 else 0.0)
 
 
-def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
+def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
     """Least-absolute-deviations fit min_x ||y - A x||_1 by ADMM splitting.
 
     Splits z = y - A x and runs the loire solvers' shrink-project loop
@@ -159,18 +152,18 @@ def baseline_lad(a, y, max_iter: int = 5000) -> LadSolution:
     solvers (linalg._mad_lambda) on the first least-squares residual
     y - P(y), so it equals default_lambda(a, y).  The run stops when a dual
     certificate proves ||y - A x||_1 within GAP_TOL = 1e-4 of the LP optimum
-    (linalg._l1_gap, every 5 steps), or when ||r|| and ||Δz|| are both at
-    most LoireConfig's default tol 1e-10 ||y||; both tests are scale-free,
-    so scaling y by s scales x by s.  After a gap stop one vertex
-    (crossover) step returns the exact LP optimum when its dual proves it
-    (`_lad_vertex`).  Non-convergence is flagged on the result, not raised.
+    (linalg._l1_gap, every 5 steps), when ||r|| and ||Δz|| are both at most
+    LoireConfig's default tol 1e-10 ||y||, or at max_iter; both tests are
+    scale-free, so scaling y by s scales x by s.  After every stop a vertex
+    (crossover) step returns the exact LP optimum, converged, when its dual
+    proves it (`_lad_vertex`).  Non-convergence is flagged, not raised.
     """
     cfg = LoireConfig(max_iter=max_iter)
     a, y = as_system(a, y)
     project, x, null = range_projector(a)
     run = _shrink_project(y, project, cfg, dual=null)
-    if run.gap is not None and run.gap <= GAP_TOL:  # a gap stop
-        vertex = _lad_vertex(a, y, x)
-        if vertex is not None:
-            x, run.b, run.gap = vertex
+    vertex = _lad_vertex(a, y, x)
+    if vertex is not None:
+        x, run.b, run.gap = vertex
+        run.converged = True
     return LadSolution(**vars(run), x=x)

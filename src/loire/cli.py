@@ -19,12 +19,13 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .benchmark import SimSpec, baseline_lad, baseline_ols, compute_metrics, generate_sim
+from .benchmark import SimSpec, baseline_lad, compute_metrics, generate_sim
 from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
                         detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
-from .linalg import GAP_EVERY, GAP_TOL, check_zero_tol
-from .pgm import FrameStack, PgmError, read_pgm, write_pgm
+from .linalg import (GAP_EVERY, GAP_TOL, MAD_C, MAD_FLOOR, MAD_NORMAL, check_zero_tol,
+                     least_squares_solve)
+from .pgm import FrameStack, read_pgm, write_pgm
 from .regression import LoireConfig, loire_solve
 
 EXIT_OK = 0
@@ -55,8 +56,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_solver_flags(sub, config):
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="penalty weight; the shrink threshold is 1/lambda (default: "
-                     "1/lambda = 1.4826*max(3*median|r|, 0.1*median|y-median(y)|) on the "
-                     "residual r of the first least-squares or rank-r fit)")
+                     f"1/lambda = {MAD_NORMAL:g}*max({MAD_C:g}*median|r|, {MAD_FLOOR:g}*"
+                     "median|y-median(y)|) on the residual r of the first least-squares or "
+                     "rank-r fit)")
     sub.add_argument("--tol", type=float, default=None,
                      help=f"stop when ||b_k+1 - b_k|| <= tol (default: {config.REL_TOL:g} "
                      "times the data's 2-norm, Frobenius for a matrix)")
@@ -144,8 +146,9 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
                 data = _read_rows(reader, path, len(header))
     except OSError as exc:
         raise DataError(f"{path}: {exc}")
-    y = data[:, t_idx]
+    y = data[:, t_idx].copy()  # a view would keep all of data alive through every solve
     a = np.delete(data, t_idx, axis=1)
+    del data
     names = [h for i, h in enumerate(header) if i != t_idx]
     if intercept or a.shape[1] == 0:
         a = np.hstack([a, np.ones((a.shape[0], 1))])
@@ -214,7 +217,7 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         trace, iterations, converged = \
             stage1.objective_trace, stage1.iterations, stage1.converged
     elif method == "ols":
-        x = baseline_ols(a, y)
+        x = least_squares_solve(a, y)
         b = np.zeros(m)
         support = []
         iterations = 1
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, PgmError, ValueError) as exc:
+    except (DataError, ValueError) as exc:  # PgmError is a ValueError
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

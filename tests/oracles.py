@@ -3,7 +3,9 @@
 Deliberately avoids the library's solve paths: eigenvalues come from
 classical Jacobi rotations, not LAPACK's SVD driver.  The one exception,
 `lad_admm_reference`, shares the library's projector and threshold rule on
-purpose, so that a comparison isolates the iteration.
+purpose, so that a comparison isolates the iteration.  `ialm_rpca` and
+`svd_residual_detector` are references for the paper's comparisons, and
+take numpy's SVD as the methods they stand for do.
 """
 
 import contextlib
@@ -169,8 +171,9 @@ def lad_admm_reference(a, y, max_iter):
     the first residual y - P(y).  Stops when ||r|| and ||z_new - z|| are both
     at most 1e-10 ||y||, or, every 5th step, when f = ||y - A x||_1 (taken as
     ||r + z||_1) is within 1e-4 f of yᵀd, with d = rho u minus its
-    least-squares fit by A, divided by max(1, ||d||_inf); a gap stop then
-    takes `lad_vertex_reference`.  Returns (x, iterations, converged).
+    least-squares fit by A, divided by max(1, ||d||_inf), or at max_iter.
+    Every stop then tries `lad_vertex_reference`, whose vertex, when it has
+    one, is returned converged.  Returns (x, iterations, converged).
     """
     a = np.asfortranarray(a, dtype=np.float64)  # the layout the library's SVD sees
     y = np.asarray(y, dtype=np.float64)
@@ -179,6 +182,7 @@ def lad_admm_reference(a, y, max_iter):
     z = np.zeros_like(y)
     u = np.zeros_like(y)
     rho = None
+    converged = False
     for it in range(1, max_iter + 1):
         ax = y - z + u
         project(ax)
@@ -189,7 +193,8 @@ def lad_admm_reference(a, y, max_iter):
         r = y - ax - z_new
         u = u + r
         if np.linalg.norm(r) <= tol and np.linalg.norm(z_new - z) <= tol:
-            return x.copy(), it, True
+            converged = True
+            break
         z = z_new
         if it % 5 == 0:
             f = np.abs(r + z).sum()
@@ -197,31 +202,65 @@ def lad_admm_reference(a, y, max_iter):
             d = d - a @ np.linalg.lstsq(a, d, rcond=None)[0]
             d = d / max(1.0, np.abs(d).max())
             if f - y @ d <= 1e-4 * f:
-                return lad_vertex_reference(a, y, x.copy()), it, True
-    return x.copy(), max_iter, False
+                converged = True
+                break
+    vertex = lad_vertex_reference(a, y, x)
+    if vertex is not None:
+        return vertex, it, True
+    return x.copy(), it, converged
 
 
 def lad_vertex_reference(a, y, x):
-    """The vertex on the n rows of smallest |y - A x| if it is LP-optimal, else x.
+    """The vertex on the n rows of smallest |y - A x| if it is LP-optimal, else None.
 
     x_B solves A_B x = y_B (by `np.linalg.lstsq`, refused when A_B is
     rank-deficient); it is returned when d_N = sign(y_N - A_N x_B) and d_B
-    from A_Bᵀ d_B = -A_Nᵀ d_N give |d_B| <= 1 and x_B fits no worse than x.
+    from A_Bᵀ d_B = -A_Nᵀ d_N give |d_B| <= 1, a dual point that proves it.
     """
     m, n = a.shape
     if m < n:
-        return x
+        return None
     r = y - a @ x
     basis = np.sort(np.argsort(np.abs(r), kind="stable")[:n])
     rest = np.setdiff1d(np.arange(m), basis)
     x_b, _, rank, _ = np.linalg.lstsq(a[basis], y[basis], rcond=None)
     if rank < n:
-        return x
+        return None
     r_b = y - a @ x_b
     d_b = np.linalg.lstsq(a[basis].T, -a[rest].T @ np.sign(r_b[rest]), rcond=None)[0]
-    if np.all(np.abs(d_b) <= 1.0) and np.abs(r_b).sum() <= np.abs(r).sum():
-        return x_b
-    return x
+    return x_b if np.all(np.abs(d_b) <= 1.0) else None
+
+
+def ialm_rpca(d, tol=1e-7, max_iter=1000):
+    """Robust PCA, min ||L||_* + lam ||S||_1 s.t. L + S = D, by inexact ALM.
+
+    The inexact augmented Lagrange multiplier method of Lin, Chen & Ma
+    (arXiv:1009.5055), with their defaults: lam = 1/sqrt(N) for the longer
+    side N, mu_0 = 1.25/||D||_2, rho = 1.5, mu capped at 1e7 mu_0, and the
+    dual Y started at D / max(||D||_2, ||D||_inf / lam).  Each step shrinks S
+    at lam/mu, thresholds the singular values of D - S + Y/mu at 1/mu for L
+    (a full thin SVD), and the run stops once ||D - L - S||_F <= tol ||D||_F.
+    Returns (L, iterations, rank of L).
+    """
+    d = np.asarray(d, dtype=np.float64)
+    lam = 1.0 / np.sqrt(max(d.shape))
+    norm_two = np.linalg.norm(d, 2)
+    norm_fro = np.linalg.norm(d)
+    y = d / max(norm_two, np.abs(d).max() / lam)
+    mu = 1.25 / norm_two
+    mu_bar = 1e7 * mu
+    low = np.zeros_like(d)
+    for it in range(1, max_iter + 1):
+        sparse = shrink(d - low + y / mu, lam / mu)
+        u, s, vt = np.linalg.svd(d - sparse + y / mu, full_matrices=False)
+        rank = int(np.count_nonzero(s > 1.0 / mu))
+        low = (u[:, :rank] * (s[:rank] - 1.0 / mu)) @ vt[:rank]
+        z = d - low - sparse
+        y = y + mu * z
+        mu = min(1.5 * mu, mu_bar)
+        if np.linalg.norm(z) <= tol * norm_fro:
+            break
+    return low, it, rank
 
 
 @contextlib.contextmanager

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from loire import (FactorizationConfig, LoireConfig, OracleConfig, SimSpec,
-                   app_bem, baseline_ols, bernoulli_oracle, compute_metrics,
+                   app_bem, bernoulli_oracle, compute_metrics,
                    default_lambda, detect_support, generate_sim,
                    least_squares_solve, loire_solve, read_pgm, rrf_solve, write_pgm)
 from loire.cli import main as cli_main
@@ -130,7 +130,7 @@ def test_criterion_4_two_stage_accuracy():
         sol = app_bem(a, y, LoireConfig(lam=1.0 / (8 * sigma)))
         if sorted(sol.support) == planted:
             recovered += 1
-        if np.linalg.norm(sol.x - x_star) < np.linalg.norm(baseline_ols(a, y) - x_star):
+        if np.linalg.norm(sol.x - x_star) < np.linalg.norm(least_squares_solve(a, y) - x_star):
             beats_ols += 1
     ok = recovered >= 0.95 * 200 and beats_ols >= 0.95 * 200
     _report(4, "two-stage estimate accuracy", ok)

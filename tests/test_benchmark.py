@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loire import (LoireConfig, SimSpec, app_bem, baseline_lad, baseline_ols,
-                   compute_metrics, default_lambda, detect_support, generate_sim)
+from loire import (LoireConfig, SimSpec, app_bem, baseline_lad, compute_metrics,
+                   default_lambda, detect_support, generate_sim, least_squares_solve)
 from loire import benchmark
 from loire.linalg import GAP_TOL, range_projector
 from oracles import lad_admm_reference
@@ -142,13 +142,13 @@ class TestMetrics:
 
 class TestBaselineOls:
     def test_identity(self):
-        np.testing.assert_allclose(baseline_ols(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
+        np.testing.assert_allclose(least_squares_solve(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
 
     def test_clean_recovery(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(20, 3))
         x_star = rng.normal(size=3)
-        np.testing.assert_allclose(baseline_ols(a, a @ x_star), x_star, atol=1e-10)
+        np.testing.assert_allclose(least_squares_solve(a, a @ x_star), x_star, atol=1e-10)
 
     def test_worse_than_two_stage_under_corruption(self):
         sigma = 0.05
@@ -161,7 +161,7 @@ class TestBaselineOls:
             idx = rng.choice(30, size=3, replace=False)
             y[idx] += rng.choice([-1.0, 1.0], 3) * 50 * sigma
             bem = app_bem(a, y, LoireConfig(lam=1.0 / (6 * sigma)))
-            if np.linalg.norm(bem.x - x_star) < np.linalg.norm(baseline_ols(a, y) - x_star):
+            if np.linalg.norm(bem.x - x_star) < np.linalg.norm(least_squares_solve(a, y) - x_star):
                 wins += 1
         assert wins >= 45
 
@@ -204,6 +204,7 @@ class TestBaselineLad:
         a = rng.normal(size=(130, 4))
         cases.append((a, a @ rng.normal(size=4) + rng.uniform(-0.1, 0.1, 130)))
         cases.append((rng.normal(size=(8, 2)), rng.normal(size=8)))  # a gap stop at 40
+        cases.append(_capped_beside_a_vertex())  # at 1000, capped and then certified
         for a, y in cases:
             res = baseline_lad(a, y, max_iter=max_iter)
             x, iterations, converged = lad_admm_reference(a, y, max_iter)
@@ -232,6 +233,17 @@ class TestBaselineLad:
                    for i in range(8) for j in range(i + 1, 8))
         assert f == pytest.approx(best, rel=1e-12)
 
+    def test_capped_run_beside_a_vertex_is_certified(self):
+        # ADMM reaches the cap with its own gap at 3e-4, but the vertex beside
+        # its x is the LP optimum, which the vertex's dual proves
+        a, y = _capped_beside_a_vertex()
+        res = baseline_lad(a, y)
+        assert res.converged and res.iterations == 1000 and abs(res.gap) <= 1e-12
+        assert np.array_equal(res.b, y - a @ res.x)
+        best = min(np.abs(y - a @ np.linalg.solve(a[[i, j]], y[[i, j]])).sum()
+                   for i in range(12) for j in range(i + 1, 12))
+        assert np.abs(y - a @ res.x).sum() == pytest.approx(best, rel=1e-12)
+
     def test_matches_linear_program_oracle(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         for trial in range(5):
@@ -246,7 +258,9 @@ class TestBaselineLad:
     def test_gap_stop_is_certified(self, monkeypatch):
         # every gap stop's x is within GAP_TOL of the LP optimum, and the dual
         # that proved it, scaled into |d| <= 1 as the definition says, has
-        # A^T d = 0 to rounding, bounds the optimum from below and certifies x
+        # A^T d = 0 to rounding, bounds the optimum from below and certifies x;
+        # a run capped at max_iter is certified by its vertex step alone, so
+        # its x is the LP optimum
         linprog = pytest.importorskip("scipy.optimize").linprog
         duals = []
 
@@ -278,10 +292,23 @@ class TestBaselineLad:
                 continue
             stops += 1
             f, f_lp, d = np.abs(y - a @ res.x).sum(), _lp_l1_optimum(linprog, a, y), duals[-1]
+            if res.iterations == LoireConfig.max_iter:
+                assert f == pytest.approx(f_lp, rel=1e-9) and abs(res.gap) <= 1e-12
+                continue
             assert f - f_lp <= GAP_TOL * f_lp
             assert np.linalg.norm(a.T @ d) <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(d)
             assert y @ d <= f_lp * (1 + 1e-7) and f - y @ d <= GAP_TOL * f
         assert stops >= 20
+
+
+def _capped_beside_a_vertex():
+    """y = 1 + 2.5 x + N(0, 0.1^2) on 12 rows, with +20 and -15 on rows 2 and
+    9, and an intercept: LAD's ADMM ends at its cap beside the LP vertex."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 10, 12)
+    y = 1 + 2.5 * x + rng.normal(0, 0.1, 12)
+    y[[2, 9]] += [20, -15]
+    return np.column_stack([x, np.ones(12)]), y
 
 
 def _lp_l1_optimum(linprog, a, y):

@@ -6,7 +6,7 @@ import pytest
 
 from loire import (FactorizationConfig, SimSpec, generate_sim, linalg, read_pgm, rrf_solve,
                    write_pgm)
-from loire.cli import REPORT_COLUMNS, main
+from loire.cli import REPORT_COLUMNS, _read_regression_csv, main
 
 
 def write_csv(path, header, rows):
@@ -150,6 +150,16 @@ class TestRegress:
         assert doc["predictors"] == ["x"]
         assert doc["methods"][0]["x"] == pytest.approx([1.55])  # (1*2 + 3*4.5) / (1 + 9)
 
+    @pytest.mark.parametrize("text", ["y,x\n2,1\n4.5,3\n", "y,x\n2,1\n\n4.5,3\n"])
+    def test_target_column_owns_its_memory(self, tmp_path, text):
+        # a view of the parsed table would keep all of it alive through every
+        # solve, from the bulk parse and the row-by-row read alike
+        path = tmp_path / "target_first.csv"
+        path.write_text(text)
+        a, y, names = _read_regression_csv(str(path), "y", intercept=False)
+        assert y.base is None
+        assert y.tolist() == [2.0, 4.5] and a.tolist() == [[1.0], [3.0]] and names == ["x"]
+
     def test_missing_target_column(self, outlier_csv, tmp_path):
         rc = main(["regress", str(outlier_csv), "--target", "nope",
                    "--out", str(tmp_path)])
@@ -189,9 +199,9 @@ class TestRegress:
 
     def test_lad_default_max_iter_is_the_loire_default(self, corrupted_fixture, tmp_path,
                                                        capsys, monkeypatch):
-        # with its gap stop off LAD needs 1427 ADMM steps here, so
-        # baseline_lad's own cap of 5000 would converge; regress caps every
-        # method at LoireConfig's 1000 and says so on stderr
+        # with its gap stop off LAD needs 1427 ADMM steps here, and the vertex
+        # step after step 1000 is refused; regress caps every method at
+        # LoireConfig's 1000, baseline_lad's default too, and says so on stderr
         monkeypatch.setattr(linalg, "GAP_TOL", 0.0)
         path, _ = corrupted_fixture
         out = tmp_path / "out"
