@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShrinkRun, _shrink_project, as_system, range_projector
+from .linalg import ShrinkRun, _shrink_project, as_system, range_factors, range_projector
 from .regression import LoireConfig
 
 
@@ -112,11 +112,11 @@ class LadSolution(ShrinkRun):
 def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
     """The LP vertex beside the LAD fit x, when it is provably optimal.
 
-    The basis B is the n rows of smallest |y - A x|; x_B solves A_B x = y_B.
-    With r = y - A x_B, d_N = sign(r_N) and d_B solving A_Bᵀ d_B = -A_Nᵀ d_N,
-    d is dual feasible (Aᵀd = 0) when |d_B| <= 1; then yᵀd, a lower bound on
-    every ||y - A x||_1, equals ||r||_1 and proves x_B optimal.  Both systems
-    are solved by `np.linalg.lstsq`, whose rank rule refuses a singular A_B.
+    The basis B is the n rows of smallest |y - A x|.  With r = y - A x_B,
+    d_N = sign(r_N) and d_B solving A_Bᵀ d_B = -A_Nᵀ d_N, d is dual feasible
+    (Aᵀd = 0) when |d_B| <= 1; then yᵀd, a lower bound on every ||y - A x||_1,
+    equals ||r||_1 and proves x_B optimal.  One SVD A_B = U S Vᵀ by
+    `range_factors` gives x_B = V S⁻¹ Uᵀ y_B and d_B = U S⁻¹ Vᵀ (-A_Nᵀ d_N).
     Returns (x_B, r, relative gap), or None for a singular A_B or |d_B| > 1.
     """
     m, n = a.shape
@@ -126,17 +126,17 @@ def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
     np.subtract(y, r, out=r)
     np.abs(r, out=r)
     basis = np.sort(np.argpartition(r, n - 1)[:n])
-    a_b = a[basis]
-    x_b, _, rank, _ = np.linalg.lstsq(a_b, y[basis], rcond=None)
-    if rank < n:
+    u, s, vt = range_factors(a[basis])
+    if s.size < n:
         return None
+    x_b = vt.T @ ((u.T @ y[basis]) / s)
     np.matmul(a, x_b, out=r)
     np.subtract(y, r, out=r)
     d = np.abs(r)
     f_b = float(d.sum())
     np.sign(r, out=d)
     d[basis] = 0.0
-    d[basis] = np.linalg.lstsq(a_b.T, -(a.T @ d), rcond=None)[0]
+    d[basis] = u @ ((vt @ -(a.T @ d)) / s)
     if not np.all(np.abs(d[basis]) <= 1.0):  # NaN fails
         return None
     return x_b, r, ((f_b - float(y @ d)) / f_b if f_b > 0.0 else 0.0)
@@ -160,7 +160,7 @@ def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
     """
     cfg = LoireConfig(max_iter=max_iter)
     a, y = as_system(a, y)
-    project, x, null = range_projector(a)
+    project, x, null = range_projector(a, range_factors(a))
     run = _shrink_project(y, project, cfg, dual=null)
     vertex = _lad_vertex(a, y, x)
     if vertex is not None:

@@ -123,7 +123,8 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
     value they are read again row by row, which names the offending line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet programs write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -147,12 +148,13 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
     except OSError as exc:
         raise DataError(f"{path}: {exc}")
     y = data[:, t_idx].copy()  # a view would keep all of data alive through every solve
-    a = np.delete(data, t_idx, axis=1)
-    del data
     names = [h for i, h in enumerate(header) if i != t_idx]
-    if intercept or a.shape[1] == 0:
-        a = np.hstack([a, np.ones((a.shape[0], 1))])
+    if intercept or not names:
         names.append("(intercept)")
+    # column-major, the layout every solve takes, so none copies A; ones last
+    a = np.ones((data.shape[0], len(names)), order="F")
+    for j, i in enumerate(k for k in range(len(header)) if k != t_idx):
+        a[:, j] = data[:, i]
     return a, y, names
 
 
@@ -264,6 +266,8 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
 
 def cmd_regress(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--method must name at least one method")
     for m in methods:
         if m not in REGRESS_METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {','.join(REGRESS_METHODS)}")

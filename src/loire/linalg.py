@@ -78,41 +78,37 @@ def data_norm(y: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
-def least_squares_solve(a, y) -> np.ndarray:
-    """Minimum-norm x minimizing ||y - A x||_2.
-
-    Uses a rank-revealing SVD solve; directions with singular value below
-    max(m, n) * eps * sigma_max are excluded, so rank-deficient systems get
-    the Moore-Penrose (minimum-norm) solution.
-    """
-    a, y = as_system(a, y)
-    x, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    return x
-
-
 def range_factors(a: np.ndarray):
-    """The thin SVD A = U S Vᵀ cut to the numerical range of *a*.
+    """The thin SVD A = U S Vᵀ cut to the numerical range of *a*: the one
+    rank rule of every least-squares fit.
 
     Directions with singular value at most max(m, n) * eps * sigma_max are
-    dropped, the rule of `least_squares_solve`.  Returns (u_r, sigma_r,
-    vt_r); A keeps every direction when sigma_r has n entries.
+    dropped.  Returns (u_r, sigma_r, vt_r); A has full column rank when
+    sigma_r has n entries.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
     return u[:, keep], s[keep], vt[keep]
 
 
-def range_projector(a: np.ndarray, factors=None):
+def least_squares_solve(a, y) -> np.ndarray:
+    """Minimum-norm x minimizing ||y - A x||_2: x = V S⁻¹ Uᵀ y on the
+    `range_factors` of A, the Moore-Penrose solution when A is rank-deficient."""
+    a, y = as_system(a, y)
+    u, s, vt = range_factors(a)
+    return vt.T @ ((u.T @ y) / s)
+
+
+def range_projector(a: np.ndarray, factors):
     """Projector onto the numerical range of *a*, from its `range_factors`.
 
-    *factors* are those of *a* when a caller already holds them, else they
-    are computed here.  Returns (project, x, null):
+    Returns (project, x, null):
     project(res) overwrites res with A x, where x = vt_rᵀ ((u_rᵀ res) / sigma_r)
     is the minimum-norm fit of res, and leaves that fit in the array x;
     null(d, scratch) overwrites d with d - u_r u_rᵀ d, its part orthogonal to
     the range, through scratch (an array of d's shape) and without touching x.
     """
-    ur, sr, vr = range_factors(a) if factors is None else factors
+    ur, sr, vr = factors
     coef = np.empty(sr.shape[0])
     x = np.zeros(a.shape[1])
 

@@ -19,7 +19,7 @@ def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM into a (height, width) uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(b"P5"):
+    if not data.startswith(b"P5") or data[2:3].strip() not in (b"", b"#"):  # not "P52"
         raise PgmError(f"{path}: not a binary PGM (missing P5 magic)")
     # header tokens: magic, width, height, maxval; '#' comments run to EOL
     tokens = []

@@ -12,7 +12,7 @@ import contextlib
 
 import numpy as np
 
-from loire.linalg import _mad_lambda, range_projector
+from loire.linalg import _mad_lambda, range_factors, range_projector
 
 
 def shrink(v, tau):
@@ -178,7 +178,7 @@ def lad_admm_reference(a, y, max_iter):
     a = np.asfortranarray(a, dtype=np.float64)  # the layout the library's SVD sees
     y = np.asarray(y, dtype=np.float64)
     tol = 1e-10 * np.linalg.norm(y)
-    project, x, _ = range_projector(a)
+    project, x, _ = range_projector(a, range_factors(a))
     z = np.zeros_like(y)
     u = np.zeros_like(y)
     rho = None
@@ -213,9 +213,10 @@ def lad_admm_reference(a, y, max_iter):
 def lad_vertex_reference(a, y, x):
     """The vertex on the n rows of smallest |y - A x| if it is LP-optimal, else None.
 
-    x_B solves A_B x = y_B (by `np.linalg.lstsq`, refused when A_B is
-    rank-deficient); it is returned when d_N = sign(y_N - A_N x_B) and d_B
-    from A_Bᵀ d_B = -A_Nᵀ d_N give |d_B| <= 1, a dual point that proves it.
+    x_B solves A_B x = y_B through the SVD A_B = U S Vᵀ of `range_factors`,
+    refused when A_B is rank-deficient; it is returned when
+    d_N = sign(y_N - A_N x_B) and d_B = U S⁻¹ Vᵀ (-A_Nᵀ d_N), which solves
+    A_Bᵀ d_B = -A_Nᵀ d_N, give |d_B| <= 1, a dual point that proves it.
     """
     m, n = a.shape
     if m < n:
@@ -223,11 +224,12 @@ def lad_vertex_reference(a, y, x):
     r = y - a @ x
     basis = np.sort(np.argsort(np.abs(r), kind="stable")[:n])
     rest = np.setdiff1d(np.arange(m), basis)
-    x_b, _, rank, _ = np.linalg.lstsq(a[basis], y[basis], rcond=None)
-    if rank < n:
+    u, s, vt = range_factors(a[basis])
+    if s.size < n:
         return None
+    x_b = vt.T @ ((u.T @ y[basis]) / s)
     r_b = y - a @ x_b
-    d_b = np.linalg.lstsq(a[basis].T, -a[rest].T @ np.sign(r_b[rest]), rcond=None)[0]
+    d_b = u @ ((vt @ (-a[rest].T @ np.sign(r_b[rest]))) / s)
     return x_b if np.all(np.abs(d_b) <= 1.0) else None
 
 

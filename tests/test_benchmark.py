@@ -264,8 +264,8 @@ class TestBaselineLad:
         linprog = pytest.importorskip("scipy.optimize").linprog
         duals = []
 
-        def recording_projector(a):
-            project, x, null = range_projector(a)
+        def recording_projector(a, factors):
+            project, x, null = range_projector(a, factors)
 
             def null_and_record(d, scratch):
                 null(d, scratch)

@@ -139,10 +139,12 @@ class TestRegress:
         "x,y\r\n1,2\r\n3,4.5\r\n",
         "x,y\n1,2\n\n , \n3,4.5\n",          # blank rows: row-by-row read
         'x,y\n"1",2\n3,"4.5"\n',
+        "\ufeffx,y\n1,2\n3,4.5\n",         # a byte-order mark: bulk parse
+        "\ufeffx,y\n1,2\n\n3,4.5\n",       # and the row-by-row read after seek(0)
     ])
     def test_csv_layouts_read_alike(self, tmp_path, text):
         path = tmp_path / "layout.csv"
-        path.write_bytes(text.encode("ascii"))
+        path.write_bytes(text.encode("utf-8"))
         out = tmp_path / "out"
         assert main(["regress", str(path), "--target", "y", "--method", "ols",
                      "--out", str(out)]) == 0
@@ -153,12 +155,16 @@ class TestRegress:
     @pytest.mark.parametrize("text", ["y,x\n2,1\n4.5,3\n", "y,x\n2,1\n\n4.5,3\n"])
     def test_target_column_owns_its_memory(self, tmp_path, text):
         # a view of the parsed table would keep all of it alive through every
-        # solve, from the bulk parse and the row-by-row read alike
+        # solve, from the bulk parse and the row-by-row read alike; A comes
+        # column-major, the layout every solve takes without a copy
         path = tmp_path / "target_first.csv"
         path.write_text(text)
         a, y, names = _read_regression_csv(str(path), "y", intercept=False)
-        assert y.base is None
+        assert y.base is None and a.flags.f_contiguous
         assert y.tolist() == [2.0, 4.5] and a.tolist() == [[1.0], [3.0]] and names == ["x"]
+        a, _, names = _read_regression_csv(str(path), "y", intercept=True)
+        assert a.flags.f_contiguous and a.tolist() == [[1.0, 1.0], [3.0, 1.0]]
+        assert names == ["x", "(intercept)"]
 
     def test_missing_target_column(self, outlier_csv, tmp_path):
         rc = main(["regress", str(outlier_csv), "--target", "nope",
@@ -493,10 +499,11 @@ REGRESS = ["regress", "d.csv", "--target", "y"]
     ({"d.csv": b"x,y\n"}, REGRESS, 2, "d.csv: no data rows"),
     ({}, REGRESS, 2, "d.csv: [Errno 2]"),
     ({}, REGRESS + ["--method", "loire,nope"], 1, "unknown method 'nope'"),
+    ({}, REGRESS + ["--method", ","], 1, "--method must name at least one method"),
     ({}, ["simulate", "--n", ","], 1, "--n must name at least one dimension"),
     ({}, ["simulate", "--num-seeds", "0"], 1, "--num-seeds must be at least 1"),
 ], ids=["rank-above-frames", "short-row", "empty-file", "header-only", "unreadable",
-        "unknown-method", "empty-n", "zero-seeds"])
+        "unknown-method", "empty-method", "empty-n", "zero-seeds"])
 def test_error_exit(tmp_path, capsys, monkeypatch, files, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():

@@ -34,6 +34,13 @@ class TestPgmIo:
         with pytest.raises(PgmError):
             read_pgm(p)
 
+    def test_rejects_magic_run_on_into_a_digit(self, tmp_path):
+        # "P52" would read as magic P5 and width 2, a 2x2 frame of the 4 bytes
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P52 2 255\n" + bytes(range(4)))
+        with pytest.raises(PgmError, match="P5 magic"):
+            read_pgm(p)
+
     def test_rejects_truncated_raster(self, tmp_path):
         p = tmp_path / "e.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
