@@ -131,6 +131,9 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required")
             header = [h.strip() for h in header]
+            if len(set(header)) < len(header):
+                twice = next(h for i, h in enumerate(header) if h in header[:i])
+                raise DataError(f"{path}: column {twice!r} repeated in header {header}")
             if target not in header:
                 raise DataError(f"{path}: target column {target!r} not in header {header}")
             t_idx = header.index(target)
@@ -201,40 +204,30 @@ def _warn_unconverged(sol, what: str, target: str | None = None) -> None:
 
 
 def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
-    """Run one regression method; returns the solution.json entry.  gap is
-    LAD's certified relative duality gap, None for the other methods."""
+    """Run one regression method; returns the solution.json entry.  Its trace,
+    iterations, converged and gap are those of the method's ShrinkRun, and [],
+    1, true and null for ols and the oracle, which run none; gap is LAD's
+    certified relative duality gap, None for loire and appbem."""
     m = y.shape[0]
     t0 = time.perf_counter()
-    trace: list[float] = []
-    converged, gap = True, None
-    if method in ("loire", "appbem"):
-        if method == "loire":
-            stage1 = sol = loire_solve(a, y, cfg)
-            support = np.flatnonzero(detect_support(sol.b, zero_tol)).tolist()
-        else:
-            sol = app_bem(a, y, cfg, zero_tol)
-            stage1, support = sol.loire, list(sol.support)
-        _warn_unconverged(stage1, f"regress method={method}")
-        x, b = sol.x, sol.b
-        trace, iterations, converged = \
-            stage1.objective_trace, stage1.iterations, stage1.converged
+    run, target = None, None
+    if method == "loire":
+        run = loire_solve(a, y, cfg)
+        x, b = run.x, run.b
+        support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
+    elif method == "appbem":
+        sol = app_bem(a, y, cfg, zero_tol)
+        x, b, run, support = sol.x, sol.b, sol.loire, list(sol.support)
     elif method == "ols":
-        x = least_squares_solve(a, y)
-        b = np.zeros(m)
-        support = []
-        iterations = 1
+        x, b, support = least_squares_solve(a, y), np.zeros(m), []
     elif method == "lad":
-        res = baseline_lad(a, y, max_iter=cfg.max_iter)
-        reached = (f"first checked at step {GAP_EVERY}" if res.gap is None
-                   else f"last measured {res.gap:.3g}")
-        _warn_unconverged(res, "regress method=lad",
-                          f"a relative duality gap of {GAP_TOL:g} ({reached})")
-        x, trace, iterations, converged, gap = \
-            res.x, res.objective_trace, res.iterations, res.converged, res.gap
-        # drop z first: it sits above the solve's freed arrays on the malloc
-        # heap, which cannot shrink while it lives (+3 MB peak on 50000 x 20)
-        del res
-        b = y - a @ x
+        run = baseline_lad(a, y, max_iter=cfg.max_iter)
+        reached = (f"first checked at step {GAP_EVERY}" if run.gap is None
+                   else f"last measured {run.gap:.3g}")
+        target = f"a relative duality gap of {GAP_TOL:g} ({reached})"
+        x, b = run.x, run.b
+        np.matmul(a, x, out=b)  # b = y - A x, over z's own buffer
+        np.subtract(y, b, out=b)
         support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
@@ -248,18 +241,18 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
             ref = app_bem(a, y, cfg, zero_tol)
             t_radius = 1.05 * float(np.linalg.norm(y - a @ ref.x - ref.b)) + 1e-12
         sol = bernoulli_oracle(a, y, OracleConfig(t=t_radius, max_support=max_support))
-        x, b = sol.x, sol.b
-        support = list(sol.support)
-        iterations = 1
+        x, b, support = sol.x, sol.b, list(sol.support)
+    if run is not None:
+        _warn_unconverged(run, f"regress method={method}", target)
     return {
         "method": method,
         "x": [float(v) for v in x],
         "b": [float(v) for v in b],
         "support": support,
-        "objective_trace": trace,
-        "iterations": iterations,
-        "converged": bool(converged),
-        "gap": gap,
+        "objective_trace": [] if run is None else run.objective_trace,
+        "iterations": 1 if run is None else run.iterations,
+        "converged": True if run is None else run.converged,
+        "gap": None if run is None else run.gap,
         "wall_time_s": _wall(t0, args.timing),
     }
 
@@ -268,9 +261,11 @@ def cmd_regress(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise UsageError("--method must name at least one method")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in REGRESS_METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {','.join(REGRESS_METHODS)}")
+        if m in methods[:i]:
+            raise UsageError(f"--method names {m!r} more than once")
     with _settings():
         cfg = LoireConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
         # 0 stands in for the radius and cap that default to values read off the data
@@ -342,16 +337,11 @@ def cmd_bgmodel(args) -> int:
     paths = sorted(glob.glob(args.frames))
     if len(paths) < 2:
         raise DataError(f"need at least 2 frames, glob {args.frames!r} matched {len(paths)}")
-    frames = []
-    first_shape = None
-    for p in paths:
-        fr = read_pgm(p)
-        if first_shape is None:
-            first_shape = fr.shape
-        elif fr.shape != first_shape:
-            raise DataError(f"{p}: frame shape {fr.shape} differs from {first_shape} "
+    frames = [read_pgm(p) for p in paths]
+    for p, fr in zip(paths, frames):
+        if fr.shape != frames[0].shape:
+            raise DataError(f"{p}: frame shape {fr.shape} differs from {frames[0].shape} "
                             f"of {paths[0]}")
-        frames.append(fr)
     stack = FrameStack.from_frames(frames)
     if cfg.rank > min(stack.matrix.shape):
         raise UsageError(f"--rank {args.rank} out of range for a "

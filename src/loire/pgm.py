@@ -54,8 +54,11 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, frame: np.ndarray) -> None:
-    """Write a (height, width) uint8 array as binary PGM."""
-    frame = np.asarray(frame, dtype=np.uint8)
+    """Write a (height, width) uint8 array as binary PGM.  Any other dtype is
+    refused: a cast would wrap 300 to 44 and -1 to 255, and truncate 2.7 to 2."""
+    frame = np.asarray(frame)
+    if frame.dtype != np.uint8:
+        raise PgmError(f"frame must be uint8, got dtype={frame.dtype}")
     if frame.ndim != 2:
         raise PgmError(f"frame must be 2-d, got ndim={frame.ndim}")
     height, width = frame.shape

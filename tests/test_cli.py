@@ -500,10 +500,13 @@ REGRESS = ["regress", "d.csv", "--target", "y"]
     ({}, REGRESS, 2, "d.csv: [Errno 2]"),
     ({}, REGRESS + ["--method", "loire,nope"], 1, "unknown method 'nope'"),
     ({}, REGRESS + ["--method", ","], 1, "--method must name at least one method"),
+    ({}, REGRESS + ["--method", "ols,lad,ols"], 1, "--method names 'ols' more than once"),
+    ({"d.csv": b"x,y,y\n1,2,3\n"}, REGRESS, 2, "d.csv: column 'y' repeated in header"),
     ({}, ["simulate", "--n", ","], 1, "--n must name at least one dimension"),
     ({}, ["simulate", "--num-seeds", "0"], 1, "--num-seeds must be at least 1"),
 ], ids=["rank-above-frames", "short-row", "empty-file", "header-only", "unreadable",
-        "unknown-method", "empty-method", "empty-n", "zero-seeds"])
+        "unknown-method", "empty-method", "repeated-method", "repeated-column", "empty-n",
+        "zero-seeds"])
 def test_error_exit(tmp_path, capsys, monkeypatch, files, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():

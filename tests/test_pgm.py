@@ -47,6 +47,19 @@ class TestPgmIo:
         with pytest.raises(PgmError, match="raster"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("frame, message", [
+        (np.array([[300, -1], [256, 0]]), "uint8, got dtype=int64"),
+        (np.array([[2.7]]), "uint8, got dtype=float64"),
+        (np.zeros((2, 2), dtype=bool), "uint8, got dtype=bool"),
+        (np.zeros((2, 2, 1), dtype=np.uint8), "2-d, got ndim=3"),
+        (np.zeros(4, dtype=np.uint8), "2-d, got ndim=1"),
+    ])
+    def test_write_refuses_what_is_not_a_uint8_frame(self, tmp_path, frame, message):
+        p = tmp_path / "w.pgm"
+        with pytest.raises(PgmError, match=message):
+            write_pgm(p, frame)
+        assert not p.exists()
+
     def test_rejects_16bit(self, tmp_path):
         p = tmp_path / "f.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
@@ -98,6 +111,10 @@ class TestFrameStack:
     def test_shape_mismatch_raises(self):
         with pytest.raises(PgmError, match="frame 1"):
             FrameStack.from_frames([np.zeros((2, 2)), np.zeros((3, 2))])
+
+    def test_no_frames_raises(self):
+        with pytest.raises(PgmError, match="no frames to stack"):
+            FrameStack.from_frames([])
 
     def test_paper_scale_dimensions(self):
         # a 144x176 sequence of 300 frames stacks to 25344 x 300

@@ -70,6 +70,15 @@ class TestSolver:
         with pytest.raises(ValueError):
             loire_solve(np.ones((3, 1)), np.ones(4), LoireConfig(lam=1.0))
 
+    @pytest.mark.parametrize("a, y, message", [
+        (np.ones(3), np.ones(3), "expected a 2-d matrix, got ndim=1"),
+        (np.ones((3, 1)), np.ones((3, 1)), "expected a 1-d vector, got ndim=2"),
+    ])
+    def test_wrong_ndim_raises(self, a, y, message):
+        # a (3, 1) y would otherwise broadcast against every (3,) residual
+        with pytest.raises(ValueError, match=message):
+            loire_solve(a, y, LoireConfig(lam=1.0))
+
     def test_solution_records_the_lam_it_applied(self):
         a, y = random_instance(24)
         assert loire_solve(a, y, LoireConfig()).lam == default_lambda(a, y)
