@@ -113,11 +113,13 @@ def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
     """The LP vertex beside the LAD fit x, when it is provably optimal.
 
     The basis B is the n rows of smallest |y - A x|.  With r = y - A x_B,
-    d_N = sign(r_N) and d_B solving A_Bᵀ d_B = -A_Nᵀ d_N, d is dual feasible
-    (Aᵀd = 0) when |d_B| <= 1; then yᵀd, a lower bound on every ||y - A x||_1,
-    equals ||r||_1 and proves x_B optimal.  One SVD A_B = U S Vᵀ by
-    `range_factors` gives x_B = V S⁻¹ Uᵀ y_B and d_B = U S⁻¹ Vᵀ (-A_Nᵀ d_N).
-    Returns (x_B, r, relative gap), or None for a singular A_B or |d_B| > 1.
+    the free rows F are B and every row with r = 0.  d_N = sign(r_N) and d_F
+    solving A_Fᵀ d_F = -A_Nᵀ d_N make d dual feasible (Aᵀd = 0) when
+    |d_F| <= 1; then yᵀd, a lower bound on every ||y - A x||_1, equals
+    ||r||_1 and proves x_B optimal.  The SVD A_B = U S Vᵀ by `range_factors`
+    gives x_B = V S⁻¹ Uᵀ y_B and d_F = U S⁻¹ Vᵀ (-A_Nᵀ d_N), from A_F's own
+    SVD when F is more than B.  Returns (x_B, r, relative gap), or None for
+    a rank-deficient A_B or A_F or |d_F| > 1.
     """
     m, n = a.shape
     if m < n:
@@ -136,8 +138,14 @@ def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
     f_b = float(d.sum())
     np.sign(r, out=d)
     d[basis] = 0.0
-    d[basis] = u @ ((vt @ -(a.T @ d)) / s)
-    if not np.all(np.abs(d[basis]) <= 1.0):  # NaN fails
+    free = basis
+    if m - np.count_nonzero(d) > n:  # x_B fits rows beyond the basis exactly
+        free = d == 0.0
+        u, s, vt = range_factors(a[free])
+        if s.size < n:
+            return None
+    d[free] = u @ ((vt @ -(a.T @ d)) / s)
+    if not np.all(np.abs(d[free]) <= 1.0):  # NaN fails
         return None
     return x_b, r, ((f_b - float(y @ d)) / f_b if f_b > 0.0 else 0.0)
 

@@ -6,6 +6,7 @@ vectorization, so frame -> column -> frame round trips exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,38 +16,28 @@ class PgmError(ValueError):
     pass
 
 
+# magic, width, height, maxval: digits after whitespace or '#' comments, then
+# whitespace; a comment closes on its newline, so its digits are never fields
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)(?=\s)" * 3)
+
+
 def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM into a (height, width) uint8 array."""
+    """Read an 8-bit binary PGM into a (height, width) uint8 array; bytes
+    after the raster are ignored."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5") or data[2:3].strip() not in (b"", b"#"):  # not "P52"
         raise PgmError(f"{path}: not a binary PGM (missing P5 magic)")
-    # header tokens: magic, width, height, maxval; '#' comments run to EOL
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise PgmError(f"{path}: truncated PGM header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    # ASCII digits only: int() would also take a sign, "_" or other scripts
-    if not all(t.isdigit() for t in tokens):
-        raise PgmError(f"{path}: malformed PGM header")
-    width, height, maxval = (int(t) for t in tokens)
+    header = _HEADER.match(data)
+    if header is None:
+        raise PgmError(f"{path}: malformed or truncated PGM header")
+    width, height, maxval = (int(t) for t in header.groups())
     if width < 1 or height < 1:
         raise PgmError(f"{path}: frame is {width}x{height}; both sides must be at least 1")
     if maxval != 255:
         raise PgmError(f"{path}: only 8-bit PGM supported (maxval={maxval})")
     expected = width * height
+    pos = header.end() + 1  # the single whitespace byte after maxval
     raster = data[pos:pos + expected]
     if len(raster) != expected:
         raise PgmError(f"{path}: raster has {len(raster)} bytes, expected {expected}")
@@ -85,9 +76,8 @@ class FrameStack:
         for k, fr in enumerate(frames):
             if fr.shape != (height, width):
                 raise PgmError(f"frame {k} has shape {fr.shape}, expected {(height, width)}")
-        matrix = np.empty((width * height, len(frames)), dtype=np.float64, order="F")
-        for j, fr in enumerate(frames):
-            matrix[:, j] = np.asarray(fr, dtype=np.float64).flatten(order="F")
+        # row j is frame j read column-major, so .T is F-contiguous
+        matrix = np.array([fr.T for fr in frames], dtype=np.float64).reshape(len(frames), -1).T
         return cls(width=width, height=height, frames=len(frames), matrix=matrix)
 
     def column_to_frame(self, column: np.ndarray) -> np.ndarray:

@@ -214,9 +214,11 @@ def lad_vertex_reference(a, y, x):
     """The vertex on the n rows of smallest |y - A x| if it is LP-optimal, else None.
 
     x_B solves A_B x = y_B through the SVD A_B = U S Vᵀ of `range_factors`,
-    refused when A_B is rank-deficient; it is returned when
-    d_N = sign(y_N - A_N x_B) and d_B = U S⁻¹ Vᵀ (-A_Nᵀ d_N), which solves
-    A_Bᵀ d_B = -A_Nᵀ d_N, give |d_B| <= 1, a dual point that proves it.
+    refused when A_B is rank-deficient.  The free rows F are B and every row
+    x_B fits exactly, N the rest; x_B is returned when d_N = sign(y_N - A_N x_B)
+    and d_F = U S⁻¹ Vᵀ (-A_Nᵀ d_N), on the SVD of A_F when F is more than B
+    (refused when rank-deficient), which solves A_Fᵀ d_F = -A_Nᵀ d_N, give
+    |d_F| <= 1, a dual point that proves it.
     """
     m, n = a.shape
     if m < n:
@@ -229,8 +231,14 @@ def lad_vertex_reference(a, y, x):
         return None
     x_b = vt.T @ ((u.T @ y[basis]) / s)
     r_b = y - a @ x_b
-    d_b = u @ ((vt @ (-a[rest].T @ np.sign(r_b[rest]))) / s)
-    return x_b if np.all(np.abs(d_b) <= 1.0) else None
+    rest = np.setdiff1d(rest, np.flatnonzero(r_b == 0.0))
+    free = np.setdiff1d(np.arange(m), rest)
+    if free.size > n:
+        u, s, vt = range_factors(a[free])
+        if s.size < n:
+            return None
+    d_free = u @ ((vt @ (-a[rest].T @ np.sign(r_b[rest]))) / s)
+    return x_b if np.all(np.abs(d_free) <= 1.0) else None
 
 
 def ialm_rpca(d, tol=1e-7, max_iter=1000):

@@ -244,6 +244,20 @@ class TestBaselineLad:
                    for i in range(12) for j in range(i + 1, 12))
         assert np.abs(y - a @ res.x).sum() == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("max_iter", [1, 5, 1000])
+    def test_vertex_that_fits_other_rows_exactly_is_certified(self, max_iter):
+        # y = x but for one outlier, no intercept: slope 1 fits the basis row
+        # and four more exactly, so d is free on five rows, not one
+        a = np.arange(1.0, 7.0)[:, None]
+        y = np.arange(1.0, 7.0)
+        y[3] = 40.0
+        res = baseline_lad(a, y, max_iter=max_iter)
+        assert res.x[0] == 1.0 and res.converged and abs(res.gap) <= 1e-12
+        assert np.array_equal(res.b, y - a @ res.x)
+        x, iterations, converged = lad_admm_reference(a, y, max_iter)
+        assert np.array_equal(res.x, x)
+        assert (res.iterations, res.converged) == (iterations, converged)
+
     def test_matches_linear_program_oracle(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         for trial in range(5):

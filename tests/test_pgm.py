@@ -74,6 +74,28 @@ class TestPgmIo:
         with pytest.raises(PgmError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("raw, reads", [
+        (b"P5\n#2 2\n255\n" + bytes(4), False),  # a comment's digits are not fields
+        (b"P5\n2#c\n2 255\n" + bytes(4), False),  # a comment that touches a field
+        (b"P5\n2 2 #c", False),  # a comment with no newline
+        (b"P5\n2 2\n255", False),  # no delimiter and no raster
+        (b"P5#c\n2 2\n255\n" + bytes(range(4)), True),
+        (b"P5\n# a\n# b\n2 2\n255\n" + bytes(range(4)), True),
+        (b"P5\r\n2 2\r\n255\r" + bytes(range(4)), True),
+        (b"P5 2\t2\x0b255\x0c" + bytes(range(4)), True),
+        (b"P5\n02 2\n255\n" + bytes(range(4)), True),
+        (b"P5\n2 2\n255\n" + bytes(range(4)) + b"extra", True),  # bytes after the raster
+    ])
+    def test_header_grammar(self, tmp_path, raw, reads):
+        p = tmp_path / "h.pgm"
+        p.write_bytes(raw)
+        if not reads:
+            with pytest.raises(PgmError):
+                read_pgm(p)
+            return
+        frame = read_pgm(p)
+        assert frame.shape == (2, 2) and frame.tobytes() == bytes(range(4))
+
     @settings(deadline=None)
     @given(st.data())
     def test_corrupt_header_raises_pgm_error_or_keeps_declared_shape(self, tmp_path_factory,
@@ -104,6 +126,8 @@ class TestFrameStack:
                   for _ in range(4)]
         stack = FrameStack.from_frames(frames)
         assert stack.matrix.shape == (35, 4)
+        # the layout rrf_solve's as_matrix takes without a copy
+        assert stack.matrix.dtype == np.float64 and stack.matrix.flags.f_contiguous
         for j, fr in enumerate(frames):
             np.testing.assert_array_equal(stack.column_to_frame(stack.matrix[:, j]),
                                           fr.astype(np.float64))
