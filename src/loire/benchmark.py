@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShrinkRun, _shrink_project, as_system, range_factors, range_projector
+from .linalg import as_system, check_solver_settings, data_norm, range_factors
 from .regression import LoireConfig
 
 
@@ -100,78 +100,142 @@ def compute_metrics(detected: np.ndarray, truth: np.ndarray) -> DetectionMetrics
 
 
 @dataclass
-class LadSolution(ShrinkRun):
-    """b is the split variable z, lam the ADMM penalty rho, objective_trace
-    ||z||_1 + (rho/2) ||y - A x - z||^2, tol the stop on ||r|| and ||Δz||,
-    and gap the relative duality gap last measured; a certified vertex step
-    sets x to the vertex, b = y - A x, gap to its certificate's and converged."""
+class LadSolution:
+    """A least-absolute-deviations fit: x, b = y - A x, ||b||_1 at each vertex
+    visited, the vertex count, whether the last vertex's dual proved it optimal,
+    and that dual's gap (||b||_1 - yᵀd) / ||b||_1 with d scaled into |d| <= 1."""
 
     x: np.ndarray
+    b: np.ndarray
+    objective_trace: list[float]
+    iterations: int
+    converged: bool
+    gap: float
 
 
-def _lad_vertex(a: np.ndarray, y: np.ndarray, x: np.ndarray):
-    """The LP vertex beside the LAD fit x, when it is provably optimal.
+# BASIS_CUT: least norm of a start-basis U-row orthogonalized against those
+# in (absolute, as ||u_i|| <= 1); EDGE_CUT: |w_i| <= EDGE_CUT max|δ| is 0 but
+# for rounding, no breakpoint (U_B would be singular); DUAL_TOL: |d_B| <= 1 +
+# DUAL_TOL is optimal, as an exact |d_j| = 1 rounds either way and pivots on
+# rounding cycle; ZERO_TOL: |r_i| <= ZERO_TOL ||A x||_2 is fit exactly
+BASIS_CUT, EDGE_CUT, DUAL_TOL, ZERO_TOL = 1e-6, 1e-9, 1e-10, 1e-12
 
-    The basis B is the n rows of smallest |y - A x|.  With r = y - A x_B,
-    the free rows F are B and every row with r = 0.  d_N = sign(r_N) and d_F
-    solving A_Fᵀ d_F = -A_Nᵀ d_N make d dual feasible (Aᵀd = 0) when
-    |d_F| <= 1; then yᵀd, a lower bound on every ||y - A x||_1, equals
-    ||r||_1 and proves x_B optimal.  The SVD A_B = U S Vᵀ by `range_factors`
-    gives x_B = V S⁻¹ Uᵀ y_B and d_F = U S⁻¹ Vᵀ (-A_Nᵀ d_N), from A_F's own
-    SVD when F is more than B.  Returns (x_B, r, relative gap), or None for
-    a rank-deficient A_B or A_F or |d_F| > 1.
-    """
-    m, n = a.shape
-    if m < n:
-        return None
-    r = a @ x  # the one residual buffer, then d: two arrays of y's size
-    np.subtract(y, r, out=r)
-    np.abs(r, out=r)
-    basis = np.sort(np.argpartition(r, n - 1)[:n])
-    u, s, vt = range_factors(a[basis])
-    if s.size < n:
-        return None
-    x_b = vt.T @ ((u.T @ y[basis]) / s)
-    np.matmul(a, x_b, out=r)
-    np.subtract(y, r, out=r)
-    d = np.abs(r)
-    f_b = float(d.sum())
-    np.sign(r, out=d)
-    d[basis] = 0.0
-    free = basis
-    if m - np.count_nonzero(d) > n:  # x_B fits rows beyond the basis exactly
-        free = d == 0.0
-        u, s, vt = range_factors(a[free])
-        if s.size < n:
-            return None
-    d[free] = u @ ((vt @ -(a.T @ d)) / s)
-    if not np.all(np.abs(d[free]) <= 1.0):  # NaN fails
-        return None
-    return x_b, r, ((f_b - float(y @ d)) / f_b if f_b > 0.0 else 0.0)
+
+def _start_basis(u: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The first k rows in *order* whose rows of the m x k *u* are independent
+    (Gram-Schmidt, projected twice, against BASIS_CUT)."""
+    q = np.empty((0, u.shape[1]))  # orthonormal rows spanning the U-rows taken
+    basis = []
+    for i in order:
+        if len(basis) == u.shape[1]:
+            break
+        v = u[i] - (q @ u[i]) @ q
+        v -= (q @ v) @ q
+        norm = math.sqrt(float(v @ v))
+        if norm > BASIS_CUT:
+            q = np.vstack([q, v / norm])
+            basis.append(i)
+    return np.array(basis, dtype=np.intp)
+
+
+def _breakpoints(t: np.ndarray, rows: np.ndarray, w: np.ndarray, need: float) -> np.ndarray:
+    """Positions of the breakpoints *t* of the ascending *rows*, by t and then
+    row, up to the first at which the running sum of |w_row| reaches *need*
+    (or all).  Sorts only a prefix, cut by a partition and grown fourfold."""
+    p = 64
+    while True:
+        sel = (np.flatnonzero(t <= np.partition(t, p - 1)[p - 1]) if p < t.size
+               else np.arange(t.size))
+        sel = sel[np.argsort(t[sel], kind="stable")]  # sel ascends, as rows do
+        hit = int(np.searchsorted(np.cumsum(np.abs(w[rows[sel]])), need))
+        if hit < sel.size or sel.size == t.size:
+            return sel[:hit + 1]
+        p *= 4
+
+
+def _vertex(a: np.ndarray, y: np.ndarray, factors, basis: np.ndarray) -> np.ndarray:
+    """V S⁻¹ U_B⁻¹ y_B on the `range_factors` of *a*, the x fitting the rows of
+    *basis*, refined once on A_B x = y_B so that U's rounding does not show."""
+    u, sig, vt = factors
+    ub = u[basis]
+    x = vt.T @ (np.linalg.solve(ub, y[basis]) / sig)
+    x += vt.T @ (np.linalg.solve(ub, y[basis] - a[basis] @ x) / sig)
+    return x
 
 
 def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
-    """Least-absolute-deviations fit min_x ||y - A x||_1 by ADMM splitting.
+    """min_x ||y - A x||_1, exact, by edge descent over the LP's vertices
+    (Barrodale & Roberts 1973), on the `range_factors` A = U S Vᵀ with
+    x = V S⁻¹ z, so a rank-deficient A needs no special case.
 
-    Splits z = y - A x and runs the loire solvers' shrink-project loop
-    (linalg._shrink_project) with its scaled dual on: the x-update is a
-    least-squares fit through the range projector, the z-update a soft
-    threshold at 1/rho.  rho is the default penalty weight of the loire
-    solvers (linalg._mad_lambda) on the first least-squares residual
-    y - P(y), so it equals default_lambda(a, y).  The run stops when a dual
-    certificate proves ||y - A x||_1 within GAP_TOL = 1e-4 of the LP optimum
-    (linalg._l1_gap, every 5 steps), when ||r|| and ||Δz|| are both at most
-    LoireConfig's default tol 1e-10 ||y||, or at max_iter; both tests are
-    scale-free, so scaling y by s scales x by s.  After every stop a vertex
-    (crossover) step returns the exact LP optimum, converged, when its dual
-    proves it (`_lad_vertex`).  Non-convergence is flagged, not raised.
+    A vertex fits a basis B of k rows, at first the rows of least |r| at the
+    least-squares fit.  A row outside B has the sign s of its residual (+-1
+    if fit exactly, at first its least-squares residual's); the vertex is
+    optimal when U_Bᵀ d_B = -U_Nᵀ s_N gives |d_B| <= 1.  Else row j of largest
+    |d_j| leaves along w = U δ, U_B δ = -sign(d_j) e_j, on which ||r - t w||_1
+    falls at slope 1 - |d_j|; a row with s_i w_i > 0 adds 2|w_i| at r_i / w_i,
+    and the first such breakpoint (by t, then row) where the slope reaches 0
+    enters, the rows passed flipping sign.  After a step that did not lower
+    ||r||_1, j is the lowest row with |d_j| > 1 (Bland's rule).  Each test is
+    a sign or a ratio of residuals, so scaling y by s scales x by s.  The
+    start vertex is iteration 1, each pivot adds one, and a capped run is
+    flagged, not raised.
     """
-    cfg = LoireConfig(max_iter=max_iter)
+    check_solver_settings(None, None, max_iter)
     a, y = as_system(a, y)
-    project, x, null = range_projector(a, range_factors(a))
-    run = _shrink_project(y, project, cfg, dual=null)
-    vertex = _lad_vertex(a, y, x)
-    if vertex is not None:
-        x, run.b, run.gap = vertex
-        run.converged = True
-    return LadSolution(**vars(run), x=x)
+    data_norm(y)  # every solve refuses y whose ||y||^2 over- or underflows
+    factors = range_factors(a)
+    u = factors[0]
+    r = y - u @ (u.T @ y)  # the least-squares residual
+    basis = _start_basis(u, np.argsort(np.abs(r), kind="stable"))
+    s = np.ones(y.shape, np.int8)  # signs, held in a byte each
+    s[r < 0.0] = -1  # the least-squares side, kept by a row the vertex fits exactly
+    w, scratch = np.empty_like(y), np.empty_like(y)
+    np.matmul(a, _vertex(a, y, factors, basis), out=w)
+    np.subtract(y, w, out=r)
+    r[np.abs(r, out=scratch) <= ZERO_TOL * float(np.linalg.norm(w))] = 0.0
+    s[r > 0.0] = 1
+    s[r < 0.0] = -1
+    s[basis], r[basis] = 0, 0.0
+    g = u.T @ s  # U_Nᵀ s_N, kept current as rows change sides and signs
+    trace, step, converged = [], None, False
+    while True:
+        inv = np.linalg.inv(u[basis])
+        zero = ZERO_TOL * float(np.linalg.norm(inv @ y[basis]))  # ||A x||_2 = ||z||
+        r[np.abs(r, out=scratch) <= zero] = 0.0  # fit exactly, but for rounding
+        trace.append(float(scratch.sum()))
+        bland = step is not None and (step == 0.0 or trace[-1] >= trace[-2])
+        d = -(inv.T @ g)
+        over = np.abs(d) > 1.0 + DUAL_TOL
+        if trace[-1] == 0.0 or not over.any():
+            converged = True
+            break
+        if len(trace) == max_iter:
+            break
+        j = np.flatnonzero(over)[np.argmin(basis[over])] if bland else np.argmax(np.abs(d))
+        sigma = -math.copysign(1.0, d[j])
+        delta = sigma * inv[:, j]
+        np.multiply(s, np.matmul(u, delta, out=w), out=scratch)
+        rows = np.flatnonzero(scratch > EDGE_CUT * float(np.abs(delta).max()))
+        if not rows.size:  # |d_j| - 1 is rounding: no edge descends
+            break
+        t = r[rows]
+        np.maximum(np.divide(t, w[rows], out=t), 0.0, out=t)
+        path = _breakpoints(t, rows, w, 0.5 * (abs(d[j]) - 1.0))
+        enter, passed, step = rows[path[-1]], rows[path[:-1]], t[path[-1]]
+        r -= np.multiply(w, step, out=scratch)
+        g -= 2.0 * (u[passed].T @ s[passed]) + s[enter] * u[enter]
+        s[passed] *= -1
+        leave, basis[j] = basis[j], enter
+        s[enter], s[leave] = 0, -sigma
+        g -= sigma * u[leave]
+        r[basis] = 0.0
+    x = _vertex(a, y, factors, basis)
+    b = np.subtract(y, np.matmul(a, x, out=r), out=r)
+    np.abs(b, out=scratch)
+    scratch[scratch <= zero] = 0.0
+    f = float(scratch.sum())
+    np.copyto(w, s)  # the dual off the basis, as floats
+    d = -(inv.T @ (u.T @ w))
+    yd = (float(y @ w) + float(y[basis] @ d)) / max(1.0, float(np.abs(d).max(initial=0.0)))
+    return LadSolution(x, b, trace, len(trace), converged, (f - yd) / f if f > 0.0 else 0.0)

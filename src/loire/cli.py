@@ -23,8 +23,7 @@ from .benchmark import SimSpec, baseline_lad, compute_metrics, generate_sim
 from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
                         detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
-from .linalg import (GAP_EVERY, GAP_TOL, MAD_C, MAD_FLOOR, MAD_NORMAL, check_zero_tol,
-                     least_squares_solve)
+from .linalg import MAD_C, MAD_FLOOR, MAD_NORMAL, check_zero_tol, least_squares_solve
 from .pgm import FrameStack, read_pgm, write_pgm
 from .regression import LoireConfig, loire_solve
 
@@ -79,10 +78,8 @@ def build_parser() -> _Parser:
                        help="append a constant ones column to the predictors")
     p_reg.add_argument("--method", default="appbem",
                        help="comma list from: " + ",".join(REGRESS_METHODS) + "; lad ignores "
-                       "--lambda and --tol: it stops once a dual certificate, checked every "
-                       f"{GAP_EVERY} steps, puts ||y - Ax||_1 within {GAP_TOL:g} relative of "
-                       "the optimum, or when ||r|| and ||z_k+1 - z_k|| are both "
-                       f"<= {LoireConfig.REL_TOL:g}*||y||")
+                       "--lambda and --tol: it pivots between vertices of min ||y - Ax||_1 until "
+                       "one's dual proves it optimal, --max-iter vertices at most")
     p_reg.add_argument("--radius", type=float, default=None,
                        help="residual radius t for the oracle (default: from appBEM fit)")
     p_reg.add_argument("--max-support", type=int, default=None,
@@ -205,12 +202,12 @@ def _warn_unconverged(sol, what: str, target: str | None = None) -> None:
 
 def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
     """Run one regression method; returns the solution.json entry.  Its trace,
-    iterations, converged and gap are those of the method's ShrinkRun, and [],
-    1, true and null for ols and the oracle, which run none; gap is LAD's
-    certified relative duality gap, None for loire and appbem."""
+    iterations and converged are those of the method's solve, and [], 1 and
+    true for ols and the oracle, which iterate none; gap is LAD's relative
+    duality gap, None for every other method."""
     m = y.shape[0]
     t0 = time.perf_counter()
-    run, target = None, None
+    run, target, gap = None, None, None
     if method == "loire":
         run = loire_solve(a, y, cfg)
         x, b = run.x, run.b
@@ -222,12 +219,8 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         x, b, support = least_squares_solve(a, y), np.zeros(m), []
     elif method == "lad":
         run = baseline_lad(a, y, max_iter=cfg.max_iter)
-        reached = (f"first checked at step {GAP_EVERY}" if run.gap is None
-                   else f"last measured {run.gap:.3g}")
-        target = f"a relative duality gap of {GAP_TOL:g} ({reached})"
-        x, b = run.x, run.b
-        np.matmul(a, x, out=b)  # b = y - A x, over z's own buffer
-        np.subtract(y, b, out=b)
+        x, b, gap = run.x, run.b, run.gap
+        target = f"a vertex its dual proves optimal (relative duality gap {gap:.3g})"
         support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
@@ -252,7 +245,7 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         "objective_trace": [] if run is None else run.objective_trace,
         "iterations": 1 if run is None else run.iterations,
         "converged": True if run is None else run.converged,
-        "gap": None if run is None else run.gap,
+        "gap": gap,
         "wall_time_s": _wall(t0, args.timing),
     }
 

@@ -100,14 +100,9 @@ def least_squares_solve(a, y) -> np.ndarray:
 
 
 def range_projector(a: np.ndarray, factors):
-    """Projector onto the numerical range of *a*, from its `range_factors`.
-
-    Returns (project, x, null):
-    project(res) overwrites res with A x, where x = vt_rᵀ ((u_rᵀ res) / sigma_r)
-    is the minimum-norm fit of res, and leaves that fit in the array x;
-    null(d, scratch) overwrites d with d - u_r u_rᵀ d, its part orthogonal to
-    the range, through scratch (an array of d's shape) and without touching x.
-    """
+    """Projector onto the numerical range of *a*, from its `range_factors`:
+    returns (project, x), where project(res) overwrites res with A x for the
+    minimum-norm fit x = vt_rᵀ ((u_rᵀ res) / sigma_r) of res, left in x."""
     ur, sr, vr = factors
     coef = np.empty(sr.shape[0])
     x = np.zeros(a.shape[1])
@@ -118,12 +113,7 @@ def range_projector(a: np.ndarray, factors):
         np.matmul(vr.T, coef, out=x)
         np.matmul(a, x, out=res)
 
-    def null(d, scratch):
-        np.matmul(ur.T, d, out=coef)
-        np.matmul(ur, coef, out=scratch)
-        d -= scratch
-
-    return project, x, null
+    return project, x
 
 
 # 1/lam = MAD_NORMAL * max(MAD_C * median|r|, MAD_FLOOR * median|y - median(y)|)
@@ -171,10 +161,8 @@ def _mad_lambda(y: np.ndarray, res: np.ndarray, scratch: np.ndarray) -> float:
 @dataclass
 class ShrinkRun:
     """What one run of `_shrink_project` did: the final b, the objective at
-    each iteration, the iteration count, whether a stop rule was met, the tol
-    and lam it applied, and the relative duality gap a run with a dual last
-    measured (None without a dual or before its first check).  Each
-    iterative solver's result extends it."""
+    each iteration, the iteration count, whether a stop rule was met, and
+    the tol and lam it applied.  Each iterative solver's result extends it."""
 
     b: np.ndarray
     objective_trace: list[float]
@@ -182,33 +170,9 @@ class ShrinkRun:
     converged: bool
     tol: float
     lam: float
-    gap: float | None
 
 
-# a run with a dual checks its duality gap every GAP_EVERY steps and stops
-# once it is at most GAP_TOL relative (the default tolerance of ADMM conic
-# solvers such as SCS)
-GAP_EVERY = 5
-GAP_TOL = 1e-4
-
-
-def _l1_gap(y, r, z, u, rho, null, v, scratch) -> float:
-    """Relative duality gap of min ||y - A x||_1 at the step's x, where
-    y - A x = r + z: f = ||r + z||_1 against the dual max yᵀd subject to
-    Aᵀd = 0, |d| <= 1, at the feasible d = rho u with its range part removed
-    (*null*) and divided by max(1, ||d||_inf).  Returns (f - yᵀd) / f, and 0
-    for f = 0, an exact fit.  v and scratch (of y's shape) are overwritten."""
-    np.add(r, z, out=v)
-    np.abs(v, out=v)
-    f = float(v.sum())
-    np.multiply(u, rho, out=v)
-    null(v, scratch)
-    np.abs(v, out=scratch)
-    yd = float(np.dot(y, v)) / max(1.0, float(scratch.max()))
-    return (f - yd) / f if f > 0.0 else 0.0
-
-
-def _shrink_project(y: np.ndarray, project, cfg, dual=None) -> ShrinkRun:
+def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
     *project(res)* overwrites res with P(res).  lam, tol and max_iter come
@@ -218,15 +182,6 @@ def _shrink_project(y: np.ndarray, project, cfg, dual=None) -> ShrinkRun:
     loop holds three arrays of y's layout (b, b_new, one residual) and
     computes the shrink, the objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2
     and ||Δb|| in place.
-
-    A vector y with *dual*, the `null` operator of P's `range_projector`,
-    runs LAD-ADMM with scaled dual u instead, min ||b||_1 subject to
-    b = y - (a point in P's range) (Boyd et al. 2011, section 6.1): two more
-    arrays hold u and the shrink's input, u is added to the residual before
-    the projection and before the shrink, and the primal residual
-    r = y - P(y - b + u) - b_new is added into u.  It stops when ||r|| and
-    ||Δb|| are both at most tol, or when `_l1_gap`, checked every GAP_EVERY
-    steps in the two arrays then free, is at most GAP_TOL.
     """
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
@@ -234,43 +189,29 @@ def _shrink_project(y: np.ndarray, project, cfg, dual=None) -> ShrinkRun:
     b = np.zeros_like(y)
     b_new = np.empty_like(y)
     res = np.empty_like(y)
-    u = None if dual is None else np.zeros_like(y)
-    v = res if dual is None else np.empty_like(y)  # the array the shrink reads
     trace: list[float] = []
-    gap = None
     thresh = None if lam is None else 1.0 / lam
     for it in range(1, cfg.max_iter + 1):
         np.subtract(y, b, out=res)
-        if dual is not None:
-            res += u
         project(res)
         np.subtract(y, res, out=res)
-        if thresh is None:  # u = 0 on the first step
+        if thresh is None:
             lam = _mad_lambda(y, res, b_new)  # b_new is free until the shrink
             thresh = 1.0 / lam
-        if dual is not None:
-            np.add(res, u, out=v)
-        # b_new <- sign(v) max(|v| - thresh, 0), without -0.0
-        np.abs(v, out=b_new)
+        # b_new <- sign(res) max(|res| - thresh, 0), without -0.0
+        np.abs(res, out=b_new)
         b_new -= thresh
         np.maximum(b_new, 0.0, out=b_new)
         l1 = float(b_new.sum())
-        np.copysign(b_new, v, out=b_new)
+        np.copysign(b_new, res, out=b_new)
         b_new += 0.0
         res -= b_new
-        if dual is not None:
-            u += res
         flat = res.ravel(order="K")  # a view: every buffer keeps y's layout
-        rr = float(np.dot(flat, flat))
-        trace.append(l1 + 0.5 * lam * rr)
+        trace.append(l1 + 0.5 * lam * float(np.dot(flat, flat)))
         b -= b_new
         flat = b.ravel(order="K")
         delta = math.sqrt(float(np.dot(flat, flat)))
         b, b_new = b_new, b
-        if delta <= tol and (dual is None or math.sqrt(rr) <= tol):
-            return ShrinkRun(b, trace, it, True, tol, lam, gap)
-        if dual is not None and it % GAP_EVERY == 0:
-            gap = _l1_gap(y, res, b, u, lam, dual, v, b_new)  # v, b_new are free
-            if gap <= GAP_TOL:
-                return ShrinkRun(b, trace, it, True, tol, lam, gap)
-    return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam, gap)
+        if delta <= tol:
+            return ShrinkRun(b, trace, it, True, tol, lam)
+    return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam)

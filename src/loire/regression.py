@@ -69,5 +69,5 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
 def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors) -> LoireSolution:
     """`loire_solve` on a system `as_system` validated, with the
     `range_factors` of *a* given, so a caller that reuses them factors A once."""
-    project, x, _ = range_projector(a, factors)
+    project, x = range_projector(a, factors)
     return LoireSolution(**vars(_shrink_project(y, project, cfg)), x=x)

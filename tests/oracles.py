@@ -1,18 +1,16 @@
 """Independent brute-force oracles used only by the tests.
 
 Deliberately avoids the library's solve paths: eigenvalues come from
-classical Jacobi rotations, not LAPACK's SVD driver.  The one exception,
-`lad_admm_reference`, shares the library's projector and threshold rule on
-purpose, so that a comparison isolates the iteration.  `ialm_rpca` and
-`svd_residual_detector` are references for the paper's comparisons, and
-take numpy's SVD as the methods they stand for do.
+classical Jacobi rotations, not LAPACK's SVD driver, and the LAD optimum
+from enumerating vertices.  `ialm_rpca` and `svd_residual_detector` are
+references for the paper's comparisons, and take numpy's SVD as the
+methods they stand for do.
 """
 
 import contextlib
+import itertools
 
 import numpy as np
-
-from loire.linalg import _mad_lambda, range_factors, range_projector
 
 
 def shrink(v, tau):
@@ -162,83 +160,23 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
     return x, b, trace, max_iter, False
 
 
-def lad_admm_reference(a, y, max_iter):
-    """Reference LAD-ADMM (Boyd et al. 2011, section 6.1), a fresh array per step.
+def lad_vertex_enumeration(a, y):
+    """min ||y - A x||_1 by brute force, for small m.
 
-    Splits z = y - A x with scaled dual u, from z = u = 0: A x <- P(y - z + u)
-    through `linalg.range_projector`, z <- sign(v) max(|v| - 1/rho, 0) on
-    v = y - A x + u, u <- u + r with r = y - A x - z.  rho is `_mad_lambda` on
-    the first residual y - P(y).  Stops when ||r|| and ||z_new - z|| are both
-    at most 1e-10 ||y||, or, every 5th step, when f = ||y - A x||_1 (taken as
-    ||r + z||_1) is within 1e-4 f of yᵀd, with d = rho u minus its
-    least-squares fit by A, divided by max(1, ||d||_inf), or at max_iter.
-    Every stop then tries `lad_vertex_reference`, whose vertex, when it has
-    one, is returned converged.  Returns (x, iterations, converged).
+    An LP optimum is attained at a vertex, an x that fits k rows of rank
+    k = rank(A) exactly; this is the least ||y - A x||_1 over every such
+    k-row subset, each solved by numpy's least squares (and ||y||_1 when
+    A = 0, whose only fit is x = 0).
     """
-    a = np.asfortranarray(a, dtype=np.float64)  # the layout the library's SVD sees
+    a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    tol = 1e-10 * np.linalg.norm(y)
-    project, x, _ = range_projector(a, range_factors(a))
-    z = np.zeros_like(y)
-    u = np.zeros_like(y)
-    rho = None
-    converged = False
-    for it in range(1, max_iter + 1):
-        ax = y - z + u
-        project(ax)
-        v = y - ax + u
-        if rho is None:
-            rho = _mad_lambda(y, v, np.empty_like(y))
-        z_new = np.sign(v) * np.maximum(np.abs(v) - 1.0 / rho, 0.0) + 0.0
-        r = y - ax - z_new
-        u = u + r
-        if np.linalg.norm(r) <= tol and np.linalg.norm(z_new - z) <= tol:
-            converged = True
-            break
-        z = z_new
-        if it % 5 == 0:
-            f = np.abs(r + z).sum()
-            d = rho * u
-            d = d - a @ np.linalg.lstsq(a, d, rcond=None)[0]
-            d = d / max(1.0, np.abs(d).max())
-            if f - y @ d <= 1e-4 * f:
-                converged = True
-                break
-    vertex = lad_vertex_reference(a, y, x)
-    if vertex is not None:
-        return vertex, it, True
-    return x.copy(), it, converged
-
-
-def lad_vertex_reference(a, y, x):
-    """The vertex on the n rows of smallest |y - A x| if it is LP-optimal, else None.
-
-    x_B solves A_B x = y_B through the SVD A_B = U S Vᵀ of `range_factors`,
-    refused when A_B is rank-deficient.  The free rows F are B and every row
-    x_B fits exactly, N the rest; x_B is returned when d_N = sign(y_N - A_N x_B)
-    and d_F = U S⁻¹ Vᵀ (-A_Nᵀ d_N), on the SVD of A_F when F is more than B
-    (refused when rank-deficient), which solves A_Fᵀ d_F = -A_Nᵀ d_N, give
-    |d_F| <= 1, a dual point that proves it.
-    """
-    m, n = a.shape
-    if m < n:
-        return None
-    r = y - a @ x
-    basis = np.sort(np.argsort(np.abs(r), kind="stable")[:n])
-    rest = np.setdiff1d(np.arange(m), basis)
-    u, s, vt = range_factors(a[basis])
-    if s.size < n:
-        return None
-    x_b = vt.T @ ((u.T @ y[basis]) / s)
-    r_b = y - a @ x_b
-    rest = np.setdiff1d(rest, np.flatnonzero(r_b == 0.0))
-    free = np.setdiff1d(np.arange(m), rest)
-    if free.size > n:
-        u, s, vt = range_factors(a[free])
-        if s.size < n:
-            return None
-    d_free = u @ ((vt @ (-a[rest].T @ np.sign(r_b[rest]))) / s)
-    return x_b if np.all(np.abs(d_free) <= 1.0) else None
+    k = np.linalg.matrix_rank(a)
+    best = float(np.abs(y).sum())
+    for rows in map(list, itertools.combinations(range(a.shape[0]), k)):
+        if k and np.linalg.matrix_rank(a[rows]) == k:
+            x = np.linalg.lstsq(a[rows], y[rows], rcond=None)[0]
+            best = min(best, float(np.abs(y - a @ x).sum()))
+    return best
 
 
 def ialm_rpca(d, tol=1e-7, max_iter=1000):

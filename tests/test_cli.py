@@ -1,11 +1,12 @@
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from loire import (FactorizationConfig, SimSpec, generate_sim, linalg, read_pgm, rrf_solve,
-                   write_pgm)
+from loire import (FactorizationConfig, LoireConfig, SimSpec, baseline_lad, cli, generate_sim,
+                   read_pgm, rrf_solve, write_pgm)
 from loire.cli import REPORT_COLUMNS, _read_regression_csv, main
 
 
@@ -205,40 +206,44 @@ class TestRegress:
 
     def test_lad_default_max_iter_is_the_loire_default(self, corrupted_fixture, tmp_path,
                                                        capsys, monkeypatch):
-        # with its gap stop off LAD needs 1427 ADMM steps here, and the vertex
-        # step after step 1000 is refused; regress caps every method at
-        # LoireConfig's 1000, baseline_lad's default too, and says so on stderr
-        monkeypatch.setattr(linalg, "GAP_TOL", 0.0)
+        # regress caps every method at LoireConfig's 1000, baseline_lad's
+        # default too; LAD certifies this fit long before, so it does not warn
+        caps = []
+        monkeypatch.setattr(cli, "baseline_lad",
+                            lambda a, y, max_iter: caps.append(max_iter)
+                            or baseline_lad(a, y, max_iter=max_iter))
         path, _ = corrupted_fixture
         out = tmp_path / "out"
         assert main(["regress", str(path), "--target", "y", "--intercept",
                      "--method", "lad", "--out", str(out)]) == 0
+        default = inspect.signature(baseline_lad).parameters["max_iter"].default
+        assert caps == [LoireConfig.max_iter] == [default] == [1000]
         entry = load_solution(out)["lad"]
-        assert entry["iterations"] == 1000 and not entry["converged"]
-        warnings = [line for line in capsys.readouterr().err.splitlines()
-                    if line.startswith("loire: warning: regress method=lad")]
-        assert len(warnings) == 1 and "max_iter=1000" in warnings[0]
+        assert entry["converged"] and entry["iterations"] < 1000
+        assert "warning" not in capsys.readouterr().err
 
     def test_lad_stops_on_its_gap_and_warns_with_it(self, corrupted_fixture, tmp_path, capsys):
-        # LAD's stop is its duality gap, so a capped LAD names the gap it
-        # reached against GAP_TOL, not the tol it ignores
+        # LAD stops on a vertex its dual proves optimal, so a capped LAD
+        # names the gap of its last vertex, not the tol it ignores
         path, _ = corrupted_fixture
         args = ["regress", str(path), "--target", "y", "--intercept", "--method", "lad"]
         assert main(args + ["--out", str(tmp_path / "default")]) == 0
         assert "warning" not in capsys.readouterr().err
         entry = load_solution(tmp_path / "default")["lad"]
-        assert entry["converged"] and entry["iterations"] < 1000
-        for max_iter, reached in (("1", "(first checked at step 5)"),
-                                  ("12", "(last measured ")):
-            assert main(args + ["--max-iter", max_iter, "--out", str(tmp_path / max_iter)]) == 0
-            warnings = [line for line in capsys.readouterr().err.splitlines()
-                        if "warning" in line]
-            assert len(warnings) == 1 and "tol=" not in warnings[0]
-            assert f"max_iter={max_iter} without reaching a relative duality gap of 0.0001 " \
-                f"{reached}" in warnings[0]
+        assert entry["converged"] and 1 < entry["iterations"] < 1000
+        assert abs(entry["gap"]) <= 1e-12
+        assert main(args + ["--max-iter", "1", "--out", str(tmp_path / "capped")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        capped = load_solution(tmp_path / "capped")["lad"]
+        assert len(warnings) == 1 and "tol=" not in warnings[0]
+        assert warnings[0] == ("loire: warning: regress method=lad: solve stopped at "
+                               "max_iter=1 without reaching a vertex its dual proves optimal "
+                               f"(relative duality gap {capped['gap']:.3g})")
+        assert not capped["converged"] and capped["gap"] > 1e-12
 
     def test_every_entry_has_a_gap_and_lad_its_trace(self, corrupted_fixture, tmp_path):
-        # gap is LAD's certified relative duality gap, null for every other method
+        # gap is LAD's relative duality gap, null for every other method, and
+        # LAD's b is y - A x
         path, _ = corrupted_fixture
         args = ["regress", str(path), "--target", "y", "--intercept", "--timing", "none",
                 "--method", "loire,appbem,ols,lad"]
@@ -246,12 +251,15 @@ class TestRegress:
         entries = load_solution(tmp_path / "default")
         assert [entries[k]["gap"] for k in ("loire", "appbem", "ols")] == [None] * 3
         lad = entries["lad"]
-        assert lad["converged"] and lad["gap"] <= 1e-4
+        assert lad["converged"] and abs(lad["gap"]) <= 1e-12
         assert len(lad["objective_trace"]) == lad["iterations"] > 0
-        # capped before its first gap check at step 5, LAD has measured no gap
+        a, y, _ = _read_regression_csv(str(path), "y", True)
+        b = y - a @ np.array(lad["x"])
+        np.testing.assert_allclose(lad["b"], b, rtol=0, atol=1e-9 * (1 + np.abs(y).max()))
+        # capped at the start vertex, LAD still reports its dual's gap
         assert main(args + ["--max-iter", "1", "--out", str(tmp_path / "capped")]) == 0
         lad = load_solution(tmp_path / "capped")["lad"]
-        assert lad["gap"] is None and len(lad["objective_trace"]) == 1
+        assert lad["gap"] > 0 and len(lad["objective_trace"]) == 1 and not lad["converged"]
 
 
 class TestSimulate:

@@ -71,7 +71,7 @@ def test_no_solve_calls_lstsq(tmp_path, monkeypatch):
               np.column_stack([np.ones(40), t, t])):
         assert app_bem(a, y, LoireConfig()).support == (6, 12, 21)
     assert fallbacks == [(37, 3), (37, 3)]
-    # the 12-row LAD problem whose capped run a vertex certifies
+    # the 12-row LAD problem, whose optimum is its third vertex
     rng = np.random.default_rng(3)
     t = rng.uniform(0, 10, 12)
     y = 1 + 2.5 * t + rng.normal(0, 0.1, 12)

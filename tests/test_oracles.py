@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import loire_objective, rrf_objective, shrink, threshold_ceiling
+from oracles import (lad_vertex_enumeration, loire_objective, rrf_objective, shrink,
+                     threshold_ceiling)
 
 
 def _scan_every_threshold(score, mask):
@@ -139,3 +140,30 @@ class TestRrfObjective:
                     r -= a[i, k] * x[k, j]
                 acc += 0.5 * lam * r * r
         assert rrf_objective(y, a, x, b, lam) == pytest.approx(acc, rel=1e-12)
+
+
+class TestLadVertexEnumeration:
+    def test_hand_built_instances(self):
+        # a constant fit is the median; A = 0 leaves ||y||_1
+        assert lad_vertex_enumeration(np.ones((3, 1)), [1.0, 2.0, 9.0]) == 8.0
+        assert lad_vertex_enumeration(np.zeros((3, 2)), [1.0, -2.0, 3.0]) == 6.0
+
+    def test_matches_linear_program(self):
+        # min 1ᵀt s.t. -t <= y - A x <= t, by scipy's HiGHS, on small full-rank,
+        # rank-deficient and integer problems
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            a = rng.normal(size=(m, n))
+            if trial % 3 == 1:
+                a[:, -1] = a[:, 0]
+            elif trial % 3 == 2:
+                a = np.rint(2.0 * a)
+            y = np.rint(3.0 * rng.normal(size=m)) if trial % 3 == 2 else rng.normal(size=m)
+            lp = linprog(np.concatenate([np.zeros(n), np.ones(m)]),
+                         A_ub=np.block([[a, -np.eye(m)], [-a, -np.eye(m)]]),
+                         b_ub=np.concatenate([y, -y]),
+                         bounds=[(None, None)] * n + [(0, None)] * m)
+            assert lp.status == 0
+            assert lad_vertex_enumeration(a, y) == pytest.approx(lp.fun, rel=1e-9, abs=1e-12)
