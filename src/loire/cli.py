@@ -344,20 +344,18 @@ def cmd_bgmodel(args) -> int:
     wall = _wall(t0, args.timing)
     _warn_unconverged(sol, "bgmodel")
 
-    background = sol.low_rank()
-    fg = np.abs(sol.b)
     # scaled by the 99th percentile of the nonzero |B| only: over all pixels it
     # is 0 whenever the foreground covers under 1% of them, which blanked every frame
-    moving = fg[fg > 0]
-    if moving.size:
-        fg *= 255.0 / float(np.percentile(moving, 99.0))
-        np.clip(fg, 0, 255, out=fg)
+    moving = np.abs(sol.b[sol.b != 0])
+    scale = 255.0 / float(np.percentile(moving, 99.0)) if moving.size else 1.0
+    del moving
 
+    # frame by frame, so no full-size A X or |B| is formed
     os.makedirs(args.out, exist_ok=True)
     for j in range(stack.frames):
-        bg_frame = np.clip(np.rint(stack.column_to_frame(background[:, j])), 0, 255)
+        bg_frame = np.clip(np.rint(stack.column_to_frame(sol.a @ sol.x[:, j])), 0, 255)
         write_pgm(os.path.join(args.out, f"background_{j:04d}.pgm"), bg_frame.astype(np.uint8))
-        fg_frame = np.rint(stack.column_to_frame(fg[:, j]))
+        fg_frame = np.rint(stack.column_to_frame(np.clip(np.abs(sol.b[:, j]) * scale, 0, 255)))
         write_pgm(os.path.join(args.out, f"foreground_{j:04d}.pgm"), fg_frame.astype(np.uint8))
     timing = {
         "frames": stack.frames,

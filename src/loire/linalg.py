@@ -84,10 +84,13 @@ def range_factors(a: np.ndarray):
 
     Directions with singular value at most max(m, n) * eps * sigma_max are
     dropped.  Returns (u_r, sigma_r, vt_r); A has full column rank when
-    sigma_r has n entries.
+    sigma_r has n entries.  When every direction is kept, svd's own arrays
+    are returned: the boolean index would copy U.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
+    if keep.all():
+        return u, s, vt
     return u[:, keep], s[keep], vt[keep]
 
 
@@ -172,6 +175,11 @@ class ShrinkRun:
     lam: float
 
 
+# elements per block of the shrink sweep: a block each of y, b, the residual
+# and the scratch is 2 MB, which a core's L2 cache holds
+BLOCK = 1 << 16
+
+
 def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
@@ -179,39 +187,48 @@ def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
     from the solver config *cfg*: lam=None applies `_mad_lambda` to the first
     residual y - P(y), and tol=None applies cfg.REL_TOL * ||y|| (`data_norm`,
     which also refuses y whose ||y||^2 over- or underflows).  Besides y the
-    loop holds three arrays of y's layout (b, b_new, one residual) and
-    computes the shrink, the objective ||b||_1 + (lam/2) ||y - P(y - b) - b||^2
-    and ||Δb|| in place.
+    loop holds two arrays of y's layout, b and one residual, and one block of
+    BLOCK elements.  After each projection it sweeps the flat arrays block by
+    block, computing in the block the shrink, the objective
+    ||b||_1 + (lam/2) ||y - P(y - b) - b||^2, ||Δb|| and the next y - b.
+    Above BLOCK elements the objective and ||Δb|| are sums of per-block sums,
+    so they can differ in the last bits from sums over the whole array; b
+    does not depend on BLOCK.
     """
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
     lam = cfg.lam
     b = np.zeros_like(y)
-    b_new = np.empty_like(y)
-    res = np.empty_like(y)
+    res = y.copy(order="K")  # y - b at b = 0; "K" keeps y's layout, so the flat views align
+    y_flat, b_flat, res_flat = (v.ravel(order="K") for v in (y, b, res))
+    scratch = np.empty(min(BLOCK, y.size))
+    blocks = [(y_flat[lo:lo + BLOCK], b_flat[lo:lo + BLOCK], res_flat[lo:lo + BLOCK],
+               scratch[:min(BLOCK, y.size - lo)]) for lo in range(0, y.size, BLOCK)]
     trace: list[float] = []
-    thresh = None if lam is None else 1.0 / lam
     for it in range(1, cfg.max_iter + 1):
-        np.subtract(y, b, out=res)
         project(res)
-        np.subtract(y, res, out=res)
-        if thresh is None:
-            lam = _mad_lambda(y, res, b_new)  # b_new is free until the shrink
-            thresh = 1.0 / lam
-        # b_new <- sign(res) max(|res| - thresh, 0), without -0.0
-        np.abs(res, out=b_new)
-        b_new -= thresh
-        np.maximum(b_new, 0.0, out=b_new)
-        l1 = float(b_new.sum())
-        np.copysign(b_new, res, out=b_new)
-        b_new += 0.0
-        res -= b_new
-        flat = res.ravel(order="K")  # a view: every buffer keeps y's layout
-        trace.append(l1 + 0.5 * lam * float(np.dot(flat, flat)))
-        b -= b_new
-        flat = b.ravel(order="K")
-        delta = math.sqrt(float(np.dot(flat, flat)))
-        b, b_new = b_new, b
-        if delta <= tol:
+        fold = lam is not None  # y - P(y - b) is formed block by block
+        if not fold:
+            np.subtract(y, res, out=res)
+            lam = _mad_lambda(y, res, b)  # b is 0 on the first step, free as scratch
+            b.fill(0.0)
+        thresh = 1.0 / lam
+        l1 = sq = step = 0.0
+        for y_blk, b_blk, r, nb in blocks:
+            if fold:
+                np.subtract(y_blk, r, out=r)
+            # nb <- sign(r) max(|r| - thresh, 0) to the bit, never -0.0
+            r.clip(-thresh, thresh, out=nb)
+            np.subtract(r, nb, out=nb)
+            r -= nb
+            sq += float(np.dot(r, r))
+            np.subtract(b_blk, nb, out=r)
+            step += float(np.dot(r, r))
+            np.abs(nb, out=r)
+            l1 += float(r.sum())
+            np.copyto(b_blk, nb)
+            np.subtract(y_blk, nb, out=r)
+        trace.append(l1 + 0.5 * lam * sq)
+        if math.sqrt(step) <= tol:
             return ShrinkRun(b, trace, it, True, tol, lam)
     return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam)

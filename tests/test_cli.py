@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from loire import (FactorizationConfig, LoireConfig, SimSpec, baseline_lad, cli, generate_sim,
-                   read_pgm, rrf_solve, write_pgm)
+from loire import (FactorizationConfig, FrameStack, LoireConfig, SimSpec, baseline_lad, cli,
+                   generate_sim, read_pgm, rrf_solve, write_pgm)
 from loire.cli import REPORT_COLUMNS, _read_regression_csv, main
 
 
@@ -432,6 +432,28 @@ class TestBgmodel:
         for j in range(10):
             np.testing.assert_array_equal(read_pgm(out / f"background_{j:04d}.pgm"),
                                           background)
+
+    def test_frames_match_the_full_array_formula(self, tmp_path):
+        # frame j is A X[:, j] and |B[:, j]| scaled, without a full-size A X or |B|
+        self._moving_square(tmp_path)
+        out = tmp_path / "out"
+        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--rank", "2", "--lambda", "0.1",
+                     "--out", str(out)]) == 0
+        stack = FrameStack.from_frames(read_pgm(tmp_path / f"frame_{j:03d}.pgm")
+                                       for j in range(10))
+        sol = rrf_solve(stack.matrix, FactorizationConfig(rank=2, lam=0.1))
+        background = sol.low_rank()
+        fg = np.abs(sol.b)
+        fg *= 255.0 / float(np.percentile(fg[fg > 0], 99.0))
+        np.clip(fg, 0, 255, out=fg)
+        for j in range(10):
+            want_bg = np.clip(np.rint(stack.column_to_frame(background[:, j])), 0, 255)
+            want_fg = np.rint(stack.column_to_frame(fg[:, j]))
+            assert (read_pgm(out / f"background_{j:04d}.pgm").tobytes()
+                    == want_bg.astype(np.uint8).tobytes())
+            assert (read_pgm(out / f"foreground_{j:04d}.pgm").tobytes()
+                    == want_fg.astype(np.uint8).tobytes())
+        assert np.count_nonzero(fg) > 0
 
     @pytest.mark.parametrize("flag", ["--lambda-mult", "--zero-tol"])
     def test_removed_flags_rejected(self, tmp_path, flag):

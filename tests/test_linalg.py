@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from loire import (LoireConfig, OracleConfig, app_bem, baseline_lad, bernoulli_oracle,
-                   least_squares_solve)
-from loire import bernoulli
+from loire import (FactorizationConfig, LoireConfig, OracleConfig, app_bem, baseline_lad,
+                   bernoulli_oracle, least_squares_solve, loire_solve, rrf_solve)
+from loire import bernoulli, linalg
 from loire.cli import main
 
 
@@ -84,3 +86,64 @@ def test_no_solve_calls_lstsq(tmp_path, monkeypatch):
     np.savetxt(path, np.column_stack([t, y]), delimiter=",", header="t,y", comments="")
     assert main(["regress", str(path), "--target", "y", "--intercept", "--method", "ols,lad",
                  "--out", str(tmp_path / "out")]) == 0
+
+
+def _low_rank_plus_spikes(m, n, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(m, 2)) @ rng.normal(size=(2, n)) + 0.01 * rng.normal(size=(m, n))
+    return np.asfortranarray(y + np.where(rng.random((m, n)) < 0.05, 10.0, 0.0))
+
+
+def _regression(m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, 5))
+    y = a @ rng.normal(size=5) + 0.1 * rng.normal(size=m)
+    return a, y + np.where(rng.random(m) < 0.05, 20.0, 0.0)
+
+
+def _sweep_results(case, lam):
+    """(b, x, lam, iterations, objective trace) of one solve whose y has more
+    than 1000 elements, and a last block of 1000 that is ragged."""
+    if case == "rrf":  # 301 x 40 = 12040 elements; 300 x 40 would fill 12 whole blocks
+        sol = rrf_solve(_low_rank_plus_spikes(301, 40, 0),
+                        FactorizationConfig(rank=2, lam=lam, max_iter=200))
+        return sol.b, sol.x, sol.lam, sol.iterations, sol.objective_trace
+    a, y = _regression(2500, 1)
+    if case == "loire":
+        sol = loire_solve(a, y, LoireConfig(lam=lam))
+        x = sol.x
+    else:  # app_bem's refit x, after its stage-1 solve
+        bem = app_bem(a, y, LoireConfig(lam=lam))
+        sol, x = bem.loire, bem.x
+    return sol.b, x, sol.lam, sol.iterations, sol.objective_trace
+
+
+class TestShrinkSweep:
+    @pytest.mark.parametrize("lam", [0.5, None])
+    @pytest.mark.parametrize("case", ["rrf", "loire", "appbem"])
+    def test_blocked_sweep_equals_one_block(self, monkeypatch, case, lam):
+        # the shrink is elementwise, so b, x, lam and the iterations do not
+        # depend on the block size; only the objective's sums are regrouped
+        whole = _sweep_results(case, lam)
+        monkeypatch.setattr(linalg, "BLOCK", 1000)
+        blocked = _sweep_results(case, lam)
+        assert whole[3] > 1 and np.count_nonzero(whole[0]) > 0
+        for got, want in zip(blocked[:4], whole[:4]):  # b, x, lam, iterations
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(blocked[4], whole[4], rtol=1e-12, atol=0.0)
+
+    def test_rrf_solve_holds_two_full_size_arrays(self):
+        # b and the residual besides y, one block of scratch, and the rank-1
+        # step's m-vectors and 100 x 100 start Gram within the 10% slack.
+        # A tall input like a frame stack: a square one's Gram start alone
+        # holds two arrays of y's size
+        y = _low_rank_plus_spikes(1600, 100, 2)
+        assert y.size > linalg.BLOCK
+        tracemalloc.start()
+        try:
+            sol = rrf_solve(y, FactorizationConfig(rank=1, lam=0.5, max_iter=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations > 1
+        assert peak <= 1.1 * (2 * y.nbytes + linalg.BLOCK * y.itemsize)
