@@ -1,10 +1,10 @@
 """Outlier-support estimators built on the shrinkage solver.
 
 `app_bem` detects the outlier rows with the l1 solver, drops them, and
-refits by least squares from the stage-1 SVD.  `bernoulli_oracle` certifies
-the minimal outlier support by exhaustive enumeration and is meant for small
-verification instances only.  A support is a boolean mask over the rows;
-BemSolution keeps the flagged rows as sorted 0-based indices.
+refits by least squares from the stage-1 factors of A.  `bernoulli_oracle`
+certifies the minimal outlier support by exhaustive enumeration and is meant
+for small verification instances only.  A support is a boolean mask over the
+rows; BemSolution keeps the flagged rows as sorted 0-based indices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .regression import LoireConfig, LoireSolution, _loire_solve
 
 ENUMERATION_CAP = 10**6
 
-# the least lambda_min(U_cᵀU_c) at which a refit downdates the SVD of A:
+# the least lambda_min(U_cᵀU_c) at which a refit downdates the factors of A:
 # its error, eps cond(A) / lambda_min, is then within 2x of a fresh solve's
 # eps cond(A) / sqrt(lambda_min)
 REFIT_FLOOR = 0.25
@@ -85,20 +85,21 @@ def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray, factors) -> np.ndarr
     *factors* are the `range_factors` U S Vᵀ of A.  When A keeps all n
     directions and G = U_cᵀU_c = I - U_oᵀU_o (o the other rows) has
     lambda_min(G) >= REFIT_FLOOR, the fit downdates them (Golub & Van Loan,
-    Matrix Computations, section 6.5): x = V S⁻¹ G⁻¹ U_cᵀ y_c.  With
-    U_o = P sigma Qᵀ, G = I - Q sigma² Qᵀ, so lambda_min(G) = 1 - sigma_max²
-    and G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ.  Otherwise
-    `least_squares_solve` fits A[clean], whose minimum-norm rule covers a
-    rank-deficient A and other rows that carry a direction of A; x = 0 when
-    no row is clean.
+    Matrix Computations, section 6.5): x = V S⁻¹ G⁻¹ U_cᵀ y_c.  The n x n
+    eigh(U_oᵀU_o) = Q sigma² Qᵀ gives U_o's squared singular values and right
+    vectors without an SVD of U_o, and G = I - Q sigma² Qᵀ, so
+    lambda_min(G) = 1 - sigma_max² and G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ.
+    Otherwise `least_squares_solve` fits A[clean], whose minimum-norm rule
+    covers a rank-deficient A and other rows that carry a direction of A;
+    x = 0 when no row is clean.
     """
     u, s, vt = factors
     if s.size == a.shape[1]:
-        _, sigma, qt = np.linalg.svd(u[~clean], full_matrices=False)
-        sq = sigma * sigma
-        if 1.0 - np.max(sq, initial=0.0) >= REFIT_FLOOR:
+        uo = u[~clean]
+        sq, q = np.linalg.eigh(uo.T @ uo)  # ascending
+        if 1.0 - sq[-1] >= REFIT_FLOOR:
             coef = u.T @ np.where(clean, y, 0.0)  # U_cᵀ y_c
-            coef += qt.T @ (sq / (1.0 - sq) * (qt @ coef))
+            coef += q @ (sq / (1.0 - sq) * (q.T @ coef))
             return vt.T @ (coef / s)
     return least_squares_solve(a[clean], y[clean]) if clean.any() else np.zeros(a.shape[1])
 
@@ -121,7 +122,8 @@ def enumeration_count(m: int, max_support: int) -> int:
 def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolution:
     """Two-stage estimate: shrinkage-based support detection, then clean refit.
 
-    The stage-1 solve and the refit share one validation and one SVD of A.
+    The stage-1 solve and the refit share one validation and one
+    `range_factors` of A.
     """
     a, y = as_system(a, y)
     zero_tol = default_zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)

@@ -174,10 +174,18 @@ class TestRefit:
         a = rng.normal(size=(50, 3))
         y = a @ [1.0, -2.0, 0.5] + rng.normal(0, 0.1, size=50)
         y[[4, 20, 33]] += [9.0, -7.0, 12.0]
+        grams = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda g, *args, **kw: grams.append(g) or real_eigh(g, *args, **kw))
         with counting_svd() as shapes:
             sol = app_bem(a, y, LoireConfig())
-        # one SVD of A; the other is of U_o, its left factor on the 3 flagged rows
-        assert shapes == [(50, 3), (3, 3)] and lstsq == []
+        # A is well conditioned, so it is factored once, from eigh(AᵀA); the
+        # other eigh is of U_oᵀU_o, its left factor on the 3 flagged rows
+        assert shapes == [] and len(grams) == 2 and lstsq == []
+        np.testing.assert_allclose(grams[0], a.T @ a, rtol=1e-14)
+        u = range_factors(a)[0][[4, 20, 33]]
+        np.testing.assert_allclose(grams[1], u.T @ u, rtol=1e-12, atol=1e-15)
         assert sol.support == (4, 20, 33)
 
     def test_batch_problems_match_a_fresh_least_squares_solve(self, fallbacks):

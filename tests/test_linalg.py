@@ -7,6 +7,7 @@ from loire import (FactorizationConfig, LoireConfig, OracleConfig, app_bem, base
                    bernoulli_oracle, least_squares_solve, loire_solve, rrf_solve)
 from loire import bernoulli, linalg
 from loire.cli import main
+from oracles import counting_svd
 
 
 class TestLeastSquares:
@@ -147,3 +148,60 @@ class TestShrinkSweep:
             tracemalloc.stop()
         assert sol.iterations > 1
         assert peak <= 1.1 * (2 * y.nbytes + linalg.BLOCK * y.itemsize)
+
+
+def _conditioned(m, n, kappa, seed):
+    """An m x n matrix with singular values spread evenly from 1 down to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.normal(size=(m, n)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return np.asfortranarray((q1 * np.linspace(1.0, 1.0 / kappa, n)) @ q2.T)
+
+
+class TestRangeFactors:
+    @pytest.mark.parametrize("kappa", [1.0, 3.0, 9.0])
+    @pytest.mark.parametrize("shape", [(200, 20), (2000, 5), (20, 20)])
+    def test_gram_route_agrees_with_the_svd(self, shape, kappa):
+        a = _conditioned(*shape, kappa, seed=shape[0] + int(kappa))
+        y = np.random.default_rng(1).normal(size=shape[0])
+        with counting_svd() as shapes:
+            u, s, vt = linalg.range_factors(a)
+            x = least_squares_solve(a, y)
+        assert shapes == [] and s.size == shape[1] and u.flags.f_contiguous
+        u_svd, s_svd, vt_svd = np.linalg.svd(a, full_matrices=False)
+        want = vt_svd.T @ ((u_svd.T @ y) / s_svd)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        np.testing.assert_allclose(s, s_svd, rtol=1e-13)
+        assert np.linalg.norm(u.T @ u - np.eye(shape[1]), 2) <= 1e-13
+        assert np.linalg.norm((u * s) @ vt - a, 2) <= 1e-13
+
+    @pytest.mark.parametrize("kappa, route", [(10.0 * (1 - 1e-6), []),
+                                              (10.0 * (1 + 1e-6), [(300, 8)])])
+    def test_floor_splits_the_routes(self, kappa, route):
+        # cond(A) = 10 is w_min = GRAM_FLOOR * w_max; just above it the SVD
+        # runs, and it keeps every direction
+        a = _conditioned(300, 8, kappa, seed=3)
+        with counting_svd() as shapes:
+            _, s, _ = linalg.range_factors(a)
+        assert shapes == route and s.size == 8
+
+    @pytest.mark.parametrize("a", [np.column_stack([np.arange(6.0), np.ones(6), np.arange(6.0)]),
+                                   np.ones((3, 5))], ids=["rank-deficient", "wide"])
+    def test_other_matrices_take_the_svd(self, a):
+        with counting_svd() as shapes:
+            _, s, _ = linalg.range_factors(a)
+        assert shapes == [a.shape] and s.size == np.linalg.matrix_rank(a)
+
+    @pytest.mark.parametrize("k", [510, -510])
+    def test_gram_overflow_or_underflow_takes_the_svd(self, k):
+        # at 2^510 AᵀA overflows; at 2^-510 its eigenvalues sit within eps of
+        # the subnormal range.  Either way x still scales as 1/s
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(400, 20))
+        y = rng.normal(size=400)
+        x = least_squares_solve(a, y)
+        s = 2.0 ** k
+        with counting_svd() as shapes:
+            x_s = least_squares_solve(s * a, y)
+        assert shapes == [(400, 20)]
+        assert np.linalg.norm(x_s * s - x) <= 1e-13 * np.linalg.norm(x)

@@ -170,6 +170,14 @@ class TestDefaultLambda:
         assert default_lambda(a, [2.0, 2.0, 2.0]) == pytest.approx(1.0 / (1.4826 * 0.1 * 2.0))
         assert default_lambda(a, [0.0, 0.0, 0.0]) == 1.0
 
+    @pytest.mark.parametrize("c", [0.1, 2.0, 3.7])
+    @pytest.mark.parametrize("m", [3, 5, 7, 10, 100, 1000])
+    def test_rounding_level_residual_is_an_exact_fit(self, m, c):
+        # the fitted mean of a constant y may round off c by an ulp; that
+        # residual is no spread, so the max|y| fallback sets the threshold
+        assert default_lambda(np.ones((m, 1)), [c] * m) == pytest.approx(
+            1.0 / (1.4826 * 0.1 * c), rel=1e-12)
+
     def test_scales_with_residual(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 2))
