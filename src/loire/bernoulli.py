@@ -15,16 +15,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import (as_matrix, as_system, as_vector, check_zero_tol,
+from .linalg import (as_matrix, as_system, as_vector, check_zero_tol, downdate,
                      least_squares_solve, range_factors)
 from .regression import LoireConfig, LoireSolution, _loire_solve
 
 ENUMERATION_CAP = 10**6
-
-# the least lambda_min(U_cᵀU_c) at which a refit downdates the factors of A:
-# its error, eps cond(A) / lambda_min, is then within 2x of a fresh solve's
-# eps cond(A) / sqrt(lambda_min)
-REFIT_FLOOR = 0.25
 
 
 class AllRowsOutliers(ValueError):
@@ -71,36 +66,38 @@ def _as_data(y) -> np.ndarray:
 
 def default_zero_tol(y) -> float:
     """Support-detection cutoff 1e-6 * max |entry| of a vector or matrix."""
-    return 1e-6 * float(np.max(np.abs(_as_data(y))))
+    return _zero_tol(_as_data(y))
+
+
+def _zero_tol(y: np.ndarray) -> float:
+    """`default_zero_tol` of a validated array."""
+    return 1e-6 * float(np.max(np.abs(y)))
 
 
 def detect_support(b: np.ndarray, zero_tol: float) -> np.ndarray:
     """The support of a vector or matrix *b*: the boolean mask |b| > zero_tol."""
-    return np.abs(_as_data(b)) > check_zero_tol(zero_tol)
+    return _support(_as_data(b), check_zero_tol(zero_tol))
 
 
-def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray, factors) -> np.ndarray:
+def _support(b: np.ndarray, zero_tol: float) -> np.ndarray:
+    """`detect_support` of a validated array and a checked cutoff."""
+    return np.abs(b) > zero_tol
+
+
+def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray, factors, solve=None) -> np.ndarray:
     """Least-squares x on the rows where *clean* is True.
 
-    *factors* are the `range_factors` U S Vᵀ of A.  When A keeps all n
-    directions and G = U_cᵀU_c = I - U_oᵀU_o (o the other rows) has
-    lambda_min(G) >= REFIT_FLOOR, the fit downdates them (Golub & Van Loan,
-    Matrix Computations, section 6.5): x = V S⁻¹ G⁻¹ U_cᵀ y_c.  The n x n
-    eigh(U_oᵀU_o) = Q sigma² Qᵀ gives U_o's squared singular values and right
-    vectors without an SVD of U_o, and G = I - Q sigma² Qᵀ, so
-    lambda_min(G) = 1 - sigma_max² and G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ.
-    Otherwise `least_squares_solve` fits A[clean], whose minimum-norm rule
-    covers a rank-deficient A and other rows that carry a direction of A;
-    x = 0 when no row is clean.
+    *factors* are the `range_factors` U S Vᵀ of A.  The fit downdates them
+    (`downdate`), x = V S⁻¹ G⁻¹ U_cᵀ y_c, unless that refuses: then
+    `least_squares_solve` fits A[clean], whose minimum-norm rule covers a
+    rank-deficient A and other rows that carry a direction of A; x = 0 when
+    no row is clean.  *solve*, when given, is the `downdate` of the other
+    rows, already taken.
     """
-    u, s, vt = factors
-    if s.size == a.shape[1]:
-        uo = u[~clean]
-        sq, q = np.linalg.eigh(uo.T @ uo)  # ascending
-        if 1.0 - sq[-1] >= REFIT_FLOOR:
-            coef = u.T @ np.where(clean, y, 0.0)  # U_cᵀ y_c
-            coef += q @ (sq / (1.0 - sq) * (q.T @ coef))
-            return vt.T @ (coef / s)
+    if solve is None:
+        solve = downdate(factors, np.flatnonzero(~clean))
+    if solve is not None:
+        return solve(np.where(clean, y, 0.0))  # U_cᵀ y_c as Uᵀ z, z = y_c and 0
     return least_squares_solve(a[clean], y[clean]) if clean.any() else np.zeros(a.shape[1])
 
 
@@ -123,16 +120,23 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
     """Two-stage estimate: shrinkage-based support detection, then clean refit.
 
     The stage-1 solve and the refit share one validation and one
-    `range_factors` of A.
+    `range_factors` of A, and, when stage 1 ended on a certified minimizer
+    whose outlier rows are the flagged rows, one `downdate`.
     """
     a, y = as_system(a, y)
-    zero_tol = default_zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
+    zero_tol = _zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
     factors = range_factors(a)
-    stage1 = _loire_solve(a, y, cfg, factors)
-    flagged = detect_support(stage1.b, zero_tol)
+    stage1, certified = _loire_solve(a, y, cfg, factors)
+    flagged = _support(stage1.b, zero_tol)
     if flagged.all():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
-    x = _refit(a, y, ~flagged, factors)
+    # after a certified finish every flagged row is among its outlier rows,
+    # so when as many rows are flagged they are those rows, whose downdate
+    # the finish took
+    solve = None
+    if certified is not None and certified[0] == np.count_nonzero(flagged):
+        solve = certified[1]
+    x = _refit(a, y, ~flagged, factors, solve)
     # b is formed once the refit's temporaries are freed and reuses their
     # heap space; formed among them it pins the heap top (+3 MB peak for a
     # later solve on 50000 x 20)

@@ -127,6 +127,51 @@ def least_squares_solve(a, y) -> np.ndarray:
     return vt.T @ ((u.T @ y) / s)
 
 
+# the least lambda_min(G), G = U_cᵀU_c = I - U_oᵀU_o, at which a solve on the
+# clean rows c downdates the factors of A: its error, eps cond(A) / lambda_min,
+# is then within 2x of a fresh solve's eps cond(A) / sqrt(lambda_min)
+REFIT_FLOOR = 0.25
+
+# entries of U per gathered chunk of the rows a downdate sets apart, so that
+# U_oᵀU_o takes 32 kB of temporaries however many rows are set apart
+GATHER = 1 << 12
+
+
+def downdate(factors, rows: np.ndarray):
+    """The solve x = V S⁻¹ G⁻¹ Uᵀ z, G = U_cᵀU_c = I - U_oᵀU_o, for A = U S Vᵀ
+    (its `range_factors`) with the rows *rows* (ascending indices) set apart.
+
+    Takes the n x n eigh(U_oᵀU_o) = Q sigma² Qᵀ once, which gives U_o's
+    squared singular values and right vectors without an SVD of U_o:
+    lambda_min(G) = 1 - sigma_max² and G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ
+    (Golub & Van Loan, Matrix Computations, section 6.5).  U_oᵀU_o is summed
+    over chunks of GATHER entries of U_o.  Returns solve(z) for a length-m z,
+    or None when A is rank-deficient or lambda_min(G) < REFIT_FLOOR.  With
+    z = y on the clean rows and 0 on the others, solve(z) is the
+    least-squares fit of the clean rows.
+    """
+    u, s, vt = factors
+    if s.size < vt.shape[1]:
+        return None
+    step = max(1, GATHER // s.size)
+    uo = u[rows[:step]]
+    gram = uo.T @ uo
+    for lo in range(step, rows.size, step):
+        uo = u[rows[lo:lo + step]]
+        gram += uo.T @ uo
+    sq, q = np.linalg.eigh(gram)  # ascending
+    if 1.0 - sq[-1] < REFIT_FLOOR:
+        return None
+    gain = sq / (1.0 - sq)
+
+    def solve(z):
+        coef = u.T @ z
+        coef += q @ (gain * (q.T @ coef))
+        return vt.T @ (coef / s)
+
+    return solve
+
+
 def range_projector(a: np.ndarray, factors):
     """Projector onto the numerical range of *a*, from its `range_factors`:
     returns (project, x), where project(res) overwrites res with A x for the
@@ -208,7 +253,7 @@ class ShrinkRun:
 BLOCK = 1 << 16
 
 
-def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
+def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
     *project(res)* overwrites res with P(res).  lam, tol and max_iter come
@@ -222,6 +267,14 @@ def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
     Above BLOCK elements the objective and ||Δb|| are sums of per-block sums,
     so they can differ in the last bits from sums over the whole array; b
     does not depend on BLOCK.
+
+    *finish(b, res, thresh)*, when given, is tried after each step that does
+    not meet tol and leaves the support of b (its nonzero entries) as the
+    step before left it, so never after the first.  It returns True once it
+    has certified the exact minimizer for the support and signs of b, taken
+    its coefficients and written its residual into res; else False, with res
+    left as y - b.  On True one more sweep sets b = shrink(res, thresh), the
+    step's objective becomes the minimizer's, and the run stops converged.
     """
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
@@ -232,16 +285,13 @@ def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
     scratch = np.empty(min(BLOCK, y.size))
     blocks = [(y_flat[lo:lo + BLOCK], b_flat[lo:lo + BLOCK], res_flat[lo:lo + BLOCK],
                scratch[:min(BLOCK, y.size - lo)]) for lo in range(0, y.size, BLOCK)]
-    trace: list[float] = []
-    for it in range(1, cfg.max_iter + 1):
-        project(res)
-        fold = lam is not None  # y - P(y - b) is formed block by block
-        if not fold:
-            np.subtract(y, res, out=res)
-            lam = _mad_lambda(y, res, b)  # b is 0 on the first step, free as scratch
-            b.fill(0.0)
-        thresh = 1.0 / lam
+
+    def sweep(fold):
+        """b <- shrink(r, thresh) on r = y - res when *fold*, else r = res, and
+        res <- y - b; returns the objective, ||Δb||² and, when there is a
+        finish, the count of entries that entered or left the support."""
         l1 = sq = step = 0.0
+        moved = 0
         for y_blk, b_blk, r, nb in blocks:
             if fold:
                 np.subtract(y_blk, r, out=r)
@@ -254,9 +304,27 @@ def _shrink_project(y: np.ndarray, project, cfg) -> ShrinkRun:
             step += float(np.dot(r, r))
             np.abs(nb, out=r)
             l1 += float(r.sum())
+            if finish is not None:
+                np.logical_xor(b_blk, nb, out=r)
+                moved += np.count_nonzero(r)
             np.copyto(b_blk, nb)
             np.subtract(y_blk, nb, out=r)
-        trace.append(l1 + 0.5 * lam * sq)
+        return l1 + 0.5 * lam * sq, step, moved
+
+    trace: list[float] = []
+    for it in range(1, cfg.max_iter + 1):
+        project(res)
+        fold = lam is not None  # y - P(y - b) is formed block by block
+        if not fold:
+            np.subtract(y, res, out=res)
+            lam = _mad_lambda(y, res, b)  # b is 0 on the first step, free as scratch
+            b.fill(0.0)
+        thresh = 1.0 / lam
+        objective, step, moved = sweep(fold)
+        trace.append(objective)
         if math.sqrt(step) <= tol:
+            return ShrinkRun(b, trace, it, True, tol, lam)
+        if finish is not None and not moved and finish(b, res, thresh):
+            trace[-1] = sweep(False)[0]
             return ShrinkRun(b, trace, it, True, tol, lam)
     return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings,
+from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings, downdate,
                      range_factors, range_projector)
 
 
@@ -20,8 +20,9 @@ class LoireConfig:
     """Solver settings.
 
     lam is the quadratic penalty weight (the shrinkage threshold is 1/lam);
-    None selects default_lambda(A, y), computed inside the solve.  tol
-    bounds ||b_{k+1} - b_k||_2 at convergence; None selects the default
+    None selects default_lambda(A, y), computed inside the solve.  The loop
+    stops when ||b_{k+1} - b_k||_2 drops to tol or at an exact minimizer it
+    certifies (see `_loire_solve`).  tol=None selects the default
     REL_TOL * ||y||_2, tight enough that the lasso subgradient certificate
     holds to 1e-6 at the returned point.
     """
@@ -58,16 +59,57 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
 
     Each iteration applies x <- pinv(A)(y - b) and then the shrink
     b <- sign(v) max(|v| - 1/lam, 0) on v = y - A x.  Stops when
-    ||b_{k+1} - b_k||_2 drops to cfg.tol; hitting max_iter first returns
-    converged=False.
+    ||b_{k+1} - b_k||_2 drops to cfg.tol or on a certified exact minimizer;
+    hitting max_iter first returns converged=False.
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    return _loire_solve(a, y, cfg, range_factors(a))
+    return _loire_solve(a, y, cfg, range_factors(a))[0]
 
 
-def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors) -> LoireSolution:
+def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors):
     """`loire_solve` on a system `as_system` validated, with the
-    `range_factors` of *a* given, so a caller that reuses them factors A once."""
+    `range_factors` of *a* given, so a caller that reuses them factors A once.
+
+    Returns the solution and, when the run ended on a certified exact
+    minimizer, the count of its outlier rows O and their `downdate` solve,
+    else None.
+
+    Minimizing f(x, b) over b leaves Huber's loss of r = y - A x at
+    tau = 1/lam (She & Owen, JASA 2011).  So once the loop's outlier rows O
+    and signs s are right, the exact minimizer solves the normal equations
+    A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, one downdate with z = y on the clean
+    rows and tau s on O (Madsen & Nielsen, BIT 1990).  The loop's finish
+    takes it, with O and s from b, and accepts it only on the certificate
+    |r_c| <= tau and s_o r_o >= tau; it works in the loop's residual and
+    holds no other array of y's size.
+    """
     project, x = range_projector(a, factors)
-    return LoireSolution(**vars(_shrink_project(y, project, cfg)), x=x)
+    certified = None
+
+    def finish(b, res, tau):
+        nonlocal certified
+        rows = np.flatnonzero(b)
+        solve = downdate(factors, rows)
+        if solve is None:
+            return False
+        s = np.sign(b[rows])
+        np.copyto(res, y)
+        res[rows] = tau * s
+        x_exact = solve(res)
+        np.matmul(a, x_exact, out=res)
+        np.subtract(y, res, out=res)
+        r_o = res[rows]
+        res[rows] = 0.0
+        clean_ok = res.max() <= tau and res.min() >= -tau  # |r_c| <= tau
+        s *= r_o
+        if clean_ok and (s >= tau).all():
+            res[rows] = r_o
+            np.copyto(x, x_exact)
+            certified = rows.size, solve
+            return True
+        np.subtract(y, b, out=res)
+        return False
+
+    run = _shrink_project(y, project, cfg, finish)
+    return LoireSolution(**vars(run), x=x), certified

@@ -133,14 +133,44 @@ def rrf_full_svd_alternation(y, rank, lam, tol=None, max_iter=500):
     return float(np.abs(b).sum() + 0.5 * lam * np.sum((y - low - b) ** 2))
 
 
+def huber_finish(a, y, b, lam):
+    """The exact regression minimizer for the outlier rows and signs of *b*.
+
+    With O = {b != 0}, s = sign(b_O), C the other rows and tau = 1/lam,
+    solves the Huber normal equations A_Cᵀ A_C x = A_Cᵀ y_C + tau A_Oᵀ s_O
+    by numpy's lstsq.  Refuses (None) when A is rank-deficient, when
+    lambda_min(Q_Cᵀ Q_C) < 1/4 for Q an orthonormal basis of A's range (a
+    QR), or when x fails the certificate |r_C| <= tau and s_O r_O >= tau,
+    r = y - A x.  Otherwise returns (x, shrink(r, tau), objective).
+    """
+    tau = 1.0 / lam
+    out = b != 0
+    if np.linalg.matrix_rank(a) < a.shape[1]:
+        return None
+    q = np.linalg.qr(a)[0][~out]
+    if np.linalg.eigvalsh(q.T @ q)[0] < 0.25:
+        return None
+    s = np.sign(b[out])
+    ac = a[~out]
+    x = np.linalg.lstsq(ac.T @ ac, ac.T @ y[~out] + tau * (a[out].T @ s), rcond=None)[0]
+    r = y - a @ x
+    if not (np.all(np.abs(r[~out]) <= tau) and np.all(s * r[out] >= tau)):
+        return None
+    b = shrink(r, tau)
+    return x, b, float(np.abs(b).sum() + 0.5 * lam * np.sum((r - b) ** 2))
+
+
 def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
     """Reference regression alternation: a fresh least-squares fit every iteration.
 
     From b = 0, alternates x <- lstsq(A, y - b) (numpy's minimum-norm solve)
     with b <- sign(r) max(|r| - 1/lam, 0) on r = y - A x, until
-    ||b_new - b||_2 <= tol (default 1e-10 ||y||_2).  Returns
-    (x, b, objective trace, iterations, converged), the objective being
-    ||b||_1 + (lam/2) ||y - A x - b||_2^2 after each iteration.
+    ||b_new - b||_2 <= tol (default 1e-10 ||y||_2).  After an iteration that
+    does not meet tol and leaves the support {b != 0} as it was, tries
+    `huber_finish`, and stops on the minimizer it certifies, whose objective
+    replaces that iteration's.  Returns (x, b, objective trace, iterations,
+    converged), the objective being ||b||_1 + (lam/2) ||y - A x - b||_2^2
+    after each iteration.
     """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -154,8 +184,13 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
         b_new = np.sign(r) * np.maximum(np.abs(r) - 1.0 / lam, 0.0)
         trace.append(float(np.abs(b_new).sum() + 0.5 * lam * np.sum((r - b_new) ** 2)))
         delta = np.linalg.norm(b_new - b)
+        same_support = np.array_equal(b_new != 0, b != 0)
         b = b_new
         if delta <= tol:
+            return x, b, trace, it, True
+        exact = huber_finish(a, y, b, lam) if same_support else None
+        if exact is not None:
+            x, b, trace[-1] = exact
             return x, b, trace, it, True
     return x, b, trace, max_iter, False
 
