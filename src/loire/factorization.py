@@ -4,7 +4,10 @@ Alternates a rank-r update for the unit-column dictionary A and the
 coefficients X (one Rayleigh-Ritz step each iteration, started on the first
 from the Gram matrix of Y's shorter side and warm after that) with an
 elementwise shrinkage update for the sparse corruption B, minimizing
-||B||_1 + (lam/2) ||Y - A X - B||_F^2.
+||B||_1 + (lam/2) ||Y - A X - B||_F^2.  Each Rayleigh-Ritz step takes its
+Ritz vectors from the eigh of a 2r x 2r Gram matrix, and falls back to the
+SVD of the 2r-row projection only when that Gram cannot resolve the kept
+directions (RITZ_FLOOR).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShrinkRun, _shrink_project, as_matrix, check_solver_settings
+from .linalg import EPS, ShrinkRun, _shrink_project, as_matrix, check_solver_settings
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,34 @@ def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:
     return np.linalg.eigh(m_mat @ m_mat.T)[1][:, -rank:]
 
 
+# RITZ_FLOOR: the warm step takes its Ritz vectors from eigh(P Pᵀ) while the
+# r-th eigenvalue keeps w_r > RITZ_FLOOR w_1, i.e. sigma_r > eps^(1/4) sigma_1.
+# With no floor, the first fit of TestFirstStep's matrices missed the SVD's
+# tail energy by more than 1e-12 ||Y|| only at w_r/w_1 <= 2.3e-14, and by at
+# most 2e-16 ||Y|| from 1.5e-7 up.  Criterion 5's iterates sit at 8e-4 to
+# 2.5e-3, so linalg.GRAM_FLOOR (1e-2) would send every step to the SVD
+RITZ_FLOOR = EPS ** 0.5
+
+
 def _warm_rank_step(m_mat: np.ndarray, a_prev: np.ndarray, rank: int):
     """Best rank-r factors of *m_mat* within span([A_prev, M Mᵀ A_prev]).
 
-    One step of Rayleigh-Ritz subspace iteration: the thin SVD of the small
-    projection QᵀM gives A = Q U_s[:, :r] and X = sigma[:r] Vt[:r].  Since the
-    span contains A_prev, the fit is never worse than A_prev with its best X.
+    One step of Rayleigh-Ritz subspace iteration on the small projection
+    P = QᵀM: the top-r eigenvectors V_r of its 2r x 2r Gram matrix P Pᵀ,
+    descending, give A = Q V_r and X = V_rᵀ P = Aᵀ M, so A X is the
+    orthogonal projection of M onto an r-dimensional subspace of span(Q) and
+    A has orthonormal columns.  When the Gram cannot resolve the kept
+    directions, w_r <= RITZ_FLOOR * w_1, the thin SVD of P gives them
+    instead: A = Q U_s[:, :r] and X = sigma[:r] Vt[:r].  Since the span
+    contains A_prev, the fit is never worse than A_prev with its best X.
     """
     q, _ = np.linalg.qr(np.hstack([a_prev, m_mat @ (m_mat.T @ a_prev)]))
-    u_s, sigma, vt = np.linalg.svd(q.T @ m_mat, full_matrices=False)
+    p = q.T @ m_mat
+    w, v = np.linalg.eigh(p @ p.T)  # eigenvalues ascending
+    if w[-rank] > RITZ_FLOOR * w[-1]:
+        v_r = v[:, :-rank - 1:-1]  # the top r, descending
+        return q @ v_r, v_r.T @ p
+    u_s, sigma, vt = np.linalg.svd(p, full_matrices=False)
     return q @ u_s[:, :rank], sigma[:rank, None] * vt[:rank]
 
 
@@ -78,11 +100,14 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     """Alternating descent from B_0 = 0.
 
     Each iteration takes rank-r factors of Y - B (A with orthonormal columns,
-    X = sigma * Vt rows) and then shrinks the residual V = Y - A X:
+    X = Aᵀ(Y - B)) and then shrinks the residual V = Y - A X:
     B <- sign(V) max(|V| - 1/lam, 0).  Every iteration factors by one
     Rayleigh-Ritz rank-r step from a start A: on the first, the top-r
     eigenvectors of the Gram matrix of Y's shorter side, so the first fit is
-    the best rank-r fit of Y without a full SVD; later, the previous A.
+    the best rank-r fit of Y without a full SVD; later, the previous A.  The
+    step's Ritz vectors are the top-r eigenvectors of the 2r x 2r Gram of the
+    projection P = Qᵀ(Y - B), or the SVD of P where the r-th eigenvalue
+    falls to RITZ_FLOOR times the first (`_warm_rank_step`).
     Stops when ||B_{k+1} - B_k||_F drops to cfg.tol.
     """
     y = as_matrix(y)

@@ -172,6 +172,31 @@ def downdate(factors, rows: np.ndarray):
     return solve
 
 
+def clean_solve(a: np.ndarray, rows: np.ndarray):
+    """The solve of `downdate`, x = (A_cᵀA_c)⁻¹ Aᵀz with the rows *rows* set
+    apart, from a fresh `range_factors` A_c = U_c S_c V_cᵀ of the other rows:
+    x = V_c S_c⁻¹ (U_cᵀ z_c + S_c⁻¹ V_cᵀ A_oᵀ z_o).  For when `downdate`
+    refuses; returns None when A_c is rank-deficient.  With z = 0 on *rows*
+    it is the least-squares fit of the clean rows, as `least_squares_solve`
+    forms it.
+    """
+    if a.shape[0] - rows.size < a.shape[1]:
+        return None
+    clean = np.ones(a.shape[0], dtype=bool)
+    clean[rows] = False
+    u, s, vt = range_factors(a[clean])
+    if s.size < a.shape[1]:
+        return None
+    a_o = a[rows]
+
+    def solve(z):
+        coef = u.T @ z[clean]
+        coef += (vt @ (a_o.T @ z[rows])) / s
+        return vt.T @ (coef / s)
+
+    return solve
+
+
 def range_projector(a: np.ndarray, factors):
     """Projector onto the numerical range of *a*, from its `range_factors`:
     returns (project, x), where project(res) overwrites res with A x for the

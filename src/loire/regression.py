@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings, downdate,
-                     range_factors, range_projector)
+from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings, clean_solve,
+                     downdate, range_factors, range_projector)
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,27 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors):
     A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, one downdate with z = y on the clean
     rows and tau s on O (Madsen & Nielsen, BIT 1990).  The loop's finish
     takes it, with O and s from b, and accepts it only on the certificate
-    |r_c| <= tau and s_o r_o >= tau; it works in the loop's residual and
-    holds no other array of y's size.
+    |r_c| <= tau and s_o r_o >= tau; it works in the loop's residual and,
+    through the downdate, holds no other array of y's size.  Where the
+    downdate refuses because the rows O carry most of a direction of A, the
+    finish takes the same solve from a fresh factorization of the clean rows
+    (`clean_solve`, which holds a copy of A_c and its factors), and fails
+    only when those rows leave A_c rank-deficient; A rank-deficient fails at
+    once.  The solve of the last O tried is kept, so steps that leave O as
+    it was factor nothing again.
     """
     project, x = range_projector(a, factors)
-    certified = None
+    certified = last = None
 
     def finish(b, res, tau):
-        nonlocal certified
+        nonlocal certified, last
         rows = np.flatnonzero(b)
-        solve = downdate(factors, rows)
+        if last is None or not np.array_equal(last[0], rows):
+            solve = downdate(factors, rows)
+            if solve is None and factors[1].size == a.shape[1]:
+                solve = clean_solve(a, rows)
+            last = rows, solve
+        solve = last[1]
         if solve is None:
             return False
         s = np.sign(b[rows])

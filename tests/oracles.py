@@ -138,17 +138,14 @@ def huber_finish(a, y, b, lam):
 
     With O = {b != 0}, s = sign(b_O), C the other rows and tau = 1/lam,
     solves the Huber normal equations A_Cᵀ A_C x = A_Cᵀ y_C + tau A_Oᵀ s_O
-    by numpy's lstsq.  Refuses (None) when A is rank-deficient, when
-    lambda_min(Q_Cᵀ Q_C) < 1/4 for Q an orthonormal basis of A's range (a
-    QR), or when x fails the certificate |r_C| <= tau and s_O r_O >= tau,
-    r = y - A x.  Otherwise returns (x, shrink(r, tau), objective).
+    by numpy's lstsq.  Refuses (None) when A is rank-deficient, when A_C is
+    (the rows O carry a whole direction of A), or when x fails the
+    certificate |r_C| <= tau and s_O r_O >= tau, r = y - A x.  Otherwise
+    returns (x, shrink(r, tau), objective).
     """
     tau = 1.0 / lam
     out = b != 0
-    if np.linalg.matrix_rank(a) < a.shape[1]:
-        return None
-    q = np.linalg.qr(a)[0][~out]
-    if np.linalg.eigvalsh(q.T @ q)[0] < 0.25:
+    if np.linalg.matrix_rank(a) < a.shape[1] or np.linalg.matrix_rank(a[~out]) < a.shape[1]:
         return None
     s = np.sign(b[out])
     ac = a[~out]

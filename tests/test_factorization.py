@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loire import (FactorizationConfig, LoireConfig, SimSpec, compute_metrics,
-                   detect_support, generate_sim, loire_solve, rrf_solve)
+                   detect_support, factorization, generate_sim, loire_solve, rrf_solve)
 from oracles import (counting_svd, ialm_rpca, rrf_full_svd_alternation, rrf_objective,
                      singular_values_bruteforce, threshold_ceiling)
 
@@ -217,14 +217,44 @@ class TestFirstStep:
                                    rrf_solve(y, cfg).low_rank().T,
                                    rtol=0, atol=1e-12 * np.linalg.norm(y))
 
-    def test_no_full_size_svd(self):
-        # only the 2r-row Rayleigh-Ritz projections Q^T (Y - B) reach the SVD,
-        # one per iteration
+    def test_no_full_size_svd(self, eigh_calls):
+        # no SVD at all: the start takes one eigh of the 80 x 80 Gram of Y,
+        # and each iteration's Rayleigh-Ritz step one of the 6 x 6 Gram of
+        # its 2r-row projection Q^T (Y - B)
         y = _corrupted_low_rank(9, 600, 80, 3)
         with counting_svd() as shapes:
             sol = rrf_solve(y, FactorizationConfig(rank=3))
         assert sol.converged
-        assert shapes == [(6, 80)] * sol.iterations
+        assert shapes == []
+        assert eigh_calls == [(80, 80)] + [(6, 6)] * sol.iterations
+
+
+class TestRitzRoutes:
+    """The warm step's Ritz vectors come from the eigh of the 2r x 2r Gram of
+    its projection, or from the SVD of the projection below RITZ_FLOOR."""
+
+    @pytest.mark.parametrize("r, route", [(3, []), (15, [(30, 40)])])
+    def test_floor_splits_the_routes(self, r, route):
+        # graded singular values 10^(-14 k / 39), k = 0..39: on the first
+        # step w_r / w_1 = sigma_r^2 is 0.04 at r = 3, above the floor, and
+        # 1e-10 at r = 15, below it, where the SVD of the 2r x n projection
+        # runs
+        y = _spectrum_matrix("graded", 300, 40, seed=340)
+        with counting_svd() as shapes:
+            rrf_solve(y, FactorizationConfig(rank=r, lam=1.0, max_iter=1))
+        assert shapes == route
+
+    def test_eigh_route_fits_as_the_svd_route(self, monkeypatch):
+        for seed, (m, n, r) in enumerate(_warm_step_shapes()):
+            y = _corrupted_low_rank(seed, m, n, r)
+            cfg = FactorizationConfig(rank=r, lam=1.0, max_iter=80)
+            with counting_svd() as shapes:
+                eigh_fit = rrf_solve(y, cfg).low_rank()
+            with monkeypatch.context() as patch:
+                patch.setattr(factorization, "RITZ_FLOOR", np.inf)  # the SVD every step
+                svd_fit = rrf_solve(y, cfg).low_rank()
+            assert shapes == []
+            assert np.linalg.norm(eigh_fit - svd_fit) <= 1e-12 * np.linalg.norm(y)
 
 
 class TestAgainstRobustPca:

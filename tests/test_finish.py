@@ -2,8 +2,9 @@
 
 Once a step leaves the outlier rows O = {b != 0} as the step before did, the
 solve tries the minimizer of Huber's loss at tau = 1/lam for those rows and
-signs (one `linalg.downdate` solve), and stops on it only when the
-certificate |r_C| <= tau, s_O r_O >= tau holds for r = y - A x.
+signs (one `linalg.downdate` solve, or `linalg.clean_solve` where the
+downdate refuses), and stops on it only when the certificate |r_C| <= tau,
+s_O r_O >= tau holds for r = y - A x.
 """
 
 import tracemalloc
@@ -11,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loire import LoireConfig, app_bem, default_lambda, linalg, loire_solve, regression
+from loire import (LoireConfig, app_bem, default_lambda, least_squares_solve, linalg, loire_solve,
+                   regression)
 from oracles import loire_objective, loire_plain_alternation
 from test_regression import LOOP_CASES, _loop_case
 
@@ -30,16 +32,6 @@ def finishes(monkeypatch):
 
     monkeypatch.setattr(regression, "_shrink_project", spy)
     return outcomes
-
-
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """The shapes of the matrices passed to numpy.linalg.eigh."""
-    shapes = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda g, *args, **kw: shapes.append(np.shape(g)) or real(g, *args, **kw))
-    return shapes
 
 
 def _outlier_instance(seed):
@@ -128,21 +120,76 @@ def test_wrong_outlier_rows_fail_the_certificate(monkeypatch):
     assert np.array_equal(res, y - np.asfortranarray(a) @ x)
 
 
-def _high_leverage_case():
-    """A line fit whose two flagged rows sit out at t = 4, against 40 in
+def _high_leverage_case(t_far):
+    """A line fit whose two flagged rows sit out at t = t_far, against 40 in
     [0, 1], with opposite gross errors: together they carry most of one
-    direction of A (lambda_min(G) = 0.12)."""
+    direction of A (lambda_min(G) = 0.12 at t_far = 4)."""
     rng = np.random.default_rng(1)
-    t = np.concatenate([rng.uniform(0.0, 1.0, 40), [4.0, 4.0]])
+    t = np.concatenate([rng.uniform(0.0, 1.0, 40), [t_far, t_far]])
     a = np.column_stack([np.ones(42), t])
     y = 1.0 + 2.0 * t + 0.05 * rng.normal(size=42)
     y[[40, 41]] += [40.0, -40.0]
     return a, y, default_lambda(a, y)
 
 
-@pytest.mark.parametrize("case", ["high_leverage", "rank_deficient"])
+@pytest.mark.parametrize("t_far", [3.0, 4.0, 10.0, 30.0])
+def test_high_leverage_rows_finish_from_the_clean_rows(finishes, t_far):
+    # the downdate refuses (lambda_min(G) < REFIT_FLOOR), so the finish
+    # takes the same solve from a factorization of the 40 clean rows and
+    # certifies at once, where the loop alone needs hundreds of steps and
+    # caps unconverged at t_far = 30
+    a, y, lam = _high_leverage_case(t_far)
+    out = np.array([40, 41])
+    assert linalg.downdate(linalg.range_factors(a), out) is None
+    sol = loire_solve(a, y, LoireConfig(lam=lam))
+    assert sol.converged and finishes[-1] and sol.iterations <= 3
+    assert list(np.flatnonzero(sol.b)) == [40, 41]
+    _assert_certified(a, y, sol)
+    x_ref, b_ref, _, iterations, converged = loire_plain_alternation(a, y, lam)
+    assert converged and sol.iterations == iterations
+    assert np.linalg.norm(sol.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    # app_bem refits on the clean rows with the finish's solve
+    clean = np.ones(42, dtype=bool)
+    clean[out] = False
+    bem = app_bem(a, y, LoireConfig(lam=lam))
+    assert bem.support == (40, 41)
+    assert np.array_equal(bem.x, least_squares_solve(a[clean], y[clean]))
+
+
+def test_clean_rows_that_lose_a_direction_refuse():
+    # z is nonzero only on rows 40 and 41: set apart together they leave
+    # A_c rank-deficient, one at a time they do not
+    a, _, _ = _high_leverage_case(4.0)
+    z = np.zeros(42)
+    z[[40, 41]] = [1.0, 2.0]
+    a = np.column_stack([a, z])
+    assert linalg.clean_solve(a, np.array([40, 41])) is None
+    assert linalg.clean_solve(a, np.array([40])) is not None
+
+
+def test_a_refused_clean_factorization_is_taken_once(monkeypatch, finishes):
+    # z is nonzero only on rows 40-42, whose gross errors are +40, -40, +40:
+    # while all three are flagged A_c loses z and the finish refuses.  The
+    # loop keeps those rows for hundreds of steps, and the clean rows are
+    # factored once
+    calls = []
+    real = linalg.clean_solve
+    monkeypatch.setattr(regression, "clean_solve",
+                        lambda a, rows: calls.append(list(rows)) or real(a, rows))
+    rng = np.random.default_rng(1)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 40), [4.0, 4.0, 4.0]])
+    a = np.column_stack([np.ones(43), t, (t == 4.0).astype(float)])
+    y = 1.0 + 2.0 * t + 0.05 * rng.normal(size=43)
+    y[40:] += [40.0, -40.0, 40.0]
+    sol = loire_solve(a, y, LoireConfig())
+    assert sol.converged and finishes.count(False) > 100 and finishes[-1]
+    assert calls == [[40, 41, 42]]
+    _assert_certified(a, y, sol)
+
+
+@pytest.mark.parametrize("case", ["rank_deficient"])
 def test_refused_finish_stops_by_tol(finishes, eigh_calls, case):
-    a, y, lam = _high_leverage_case() if case == "high_leverage" else _loop_case(case)
+    a, y, lam = _loop_case(case)
     eigh_calls.clear()
     sol = loire_solve(a, y, LoireConfig(lam=lam))
     gram_attempts = list(eigh_calls)
@@ -150,15 +197,9 @@ def test_refused_finish_stops_by_tol(finishes, eigh_calls, case):
     x_ref, b_ref, _, iterations, converged = loire_plain_alternation(a, y, lam)
     assert sol.converged and converged and sol.iterations == iterations
     assert np.linalg.norm(sol.b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
-    if case == "rank_deficient":
-        # refused before any downdate: the one eigh is the Gram route that A,
-        # rank-deficient, fails before it takes the SVD
-        assert gram_attempts == [(4, 4)]
-    else:
-        out = sol.b != 0
-        assert list(np.flatnonzero(out)) == [40, 41]
-        q = np.linalg.qr(a)[0][~out]
-        assert np.linalg.eigvalsh(q.T @ q)[0] < linalg.REFIT_FLOOR
+    # refused before any downdate or clean-row factorization: the one eigh
+    # is the Gram route that A, rank-deficient, fails before it takes the SVD
+    assert gram_attempts == [(4, 4)]
 
 
 def test_one_step_takes_no_eigh_beyond_the_factorization(eigh_calls):
