@@ -103,7 +103,10 @@ def compute_metrics(detected: np.ndarray, truth: np.ndarray) -> DetectionMetrics
 class LadSolution:
     """A least-absolute-deviations fit: x, b = y - A x, ||b||_1 at each vertex
     visited, the vertex count, whether the last vertex's dual proved it optimal,
-    and that dual's gap (||b||_1 - yᵀd) / ||b||_1 with d scaled into |d| <= 1."""
+    and that dual's gap (f - yᵀd) / f, f = ||b||_1, with d scaled into
+    |d| <= 1.  The gap is an upper bound on (f - f*) / f, f* the optimum, and
+    at a cap it can be loose: on a 40-row line fit with three gross outliers,
+    a cap of one vertex reports 0.997 while f is 7.7% above f*."""
 
     x: np.ndarray
     b: np.ndarray

@@ -1,10 +1,11 @@
 """Outlier-support estimators built on the shrinkage solver.
 
 `app_bem` detects the outlier rows with the l1 solver, drops them, and
-refits by least squares from the stage-1 factors of A.  `bernoulli_oracle`
-certifies the minimal outlier support by exhaustive enumeration and is meant
-for small verification instances only.  A support is a boolean mask over the
-rows; BemSolution keeps the flagged rows as sorted 0-based indices.
+refits the clean rows by least squares (`linalg.clean_solve`).
+`bernoulli_oracle` certifies the minimal outlier support by exhaustive
+enumeration and is meant for small verification instances only.  A support
+is a boolean mask over the rows; BemSolution keeps the flagged rows as
+sorted 0-based indices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import (as_matrix, as_system, as_vector, check_zero_tol, downdate,
-                     least_squares_solve, range_factors)
+from .linalg import (as_matrix, as_system, as_vector, check_zero_tol, clean_solve, is_count,
+                     range_factors)
 from .regression import LoireConfig, LoireSolution, _loire_solve
 
 ENUMERATION_CAP = 10**6
@@ -40,8 +41,8 @@ class OracleConfig:
     def __post_init__(self):
         if not self.t >= 0:
             raise ValueError(f"residual radius t={self.t} must be nonnegative")
-        if not self.max_support >= 0:
-            raise ValueError(f"max_support={self.max_support} must be nonnegative")
+        if not is_count(self.max_support, 0):
+            raise ValueError(f"max_support={self.max_support} must be nonnegative and an integer")
 
 
 @dataclass
@@ -84,23 +85,6 @@ def _support(b: np.ndarray, zero_tol: float) -> np.ndarray:
     return np.abs(b) > zero_tol
 
 
-def _refit(a: np.ndarray, y: np.ndarray, clean: np.ndarray, factors, solve=None) -> np.ndarray:
-    """Least-squares x on the rows where *clean* is True.
-
-    *factors* are the `range_factors` U S Vᵀ of A.  The fit downdates them
-    (`downdate`), x = V S⁻¹ G⁻¹ U_cᵀ y_c, unless that refuses: then
-    `least_squares_solve` fits A[clean], whose minimum-norm rule covers a
-    rank-deficient A and other rows that carry a direction of A; x = 0 when
-    no row is clean.  *solve*, when given, is the `downdate` of the other
-    rows, already taken.
-    """
-    if solve is None:
-        solve = downdate(factors, np.flatnonzero(~clean))
-    if solve is not None:
-        return solve(np.where(clean, y, 0.0))  # U_cᵀ y_c as Uᵀ z, z = y_c and 0
-    return least_squares_solve(a[clean], y[clean]) if clean.any() else np.zeros(a.shape[1])
-
-
 def enumeration_count(m: int, max_support: int) -> int:
     """Number of supports of size <= max_support among m rows.
 
@@ -120,29 +104,27 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
     """Two-stage estimate: shrinkage-based support detection, then clean refit.
 
     The stage-1 solve and the refit share one validation and one
-    `range_factors` of A, and, when stage 1 ended on a certified minimizer
-    whose outlier rows are the flagged rows, one `downdate`.
+    `range_factors` of A.  The refit is the `clean_solve` of the flagged
+    rows, reused from the stage-1 finish when its latest attempt set apart
+    exactly those rows.
     """
     a, y = as_system(a, y)
     zero_tol = _zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
     factors = range_factors(a)
-    stage1, certified = _loire_solve(a, y, cfg, factors)
+    stage1, last = _loire_solve(a, y, cfg, factors)
     flagged = _support(stage1.b, zero_tol)
     if flagged.all():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
-    # after a certified finish every flagged row is among its outlier rows,
-    # so when as many rows are flagged they are those rows, whose downdate
-    # the finish took
-    solve = None
-    if certified is not None and certified[0] == np.count_nonzero(flagged):
-        solve = certified[1]
-    x = _refit(a, y, ~flagged, factors, solve)
+    rows = np.flatnonzero(flagged)
+    if last is None or not np.array_equal(last[0], rows):
+        last = rows, *clean_solve(a, factors, rows)
+    x = last[1](np.where(flagged, 0.0, y))  # z = y on the clean rows, 0 on the flagged
     # b is formed once the refit's temporaries are freed and reuses their
     # heap space; formed among them it pins the heap top (+3 MB peak for a
     # later solve on 50000 x 20)
     b = y - a @ x
     b[~flagged] = 0.0
-    return BemSolution(support=tuple(np.flatnonzero(flagged).tolist()), x=x, b=b, loire=stage1)
+    return BemSolution(support=tuple(rows.tolist()), x=x, b=b, loire=stage1)
 
 
 def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
@@ -160,9 +142,11 @@ def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
     factors = range_factors(a)
     for k in range(max_support + 1):
         for cand in combinations(range(m), k):
+            rows = np.array(cand, dtype=np.intp)
             clean = np.ones(m, dtype=bool)
-            clean[list(cand)] = False
-            x = _refit(a, y, clean, factors)
+            clean[rows] = False
+            solve = clean_solve(a, factors, rows)[0]
+            x = solve(np.where(clean, y, 0.0))
             r = y - a @ x
             # the residual y - A x - b: r on the clean rows, 0 on the flagged
             if float(np.linalg.norm(np.where(clean, r, 0.0))) <= cfg.t:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, ShrinkRun, _shrink_project, as_matrix, check_solver_settings
+from .linalg import EPS, ShrinkRun, _shrink_project, as_matrix, check_solver_settings, is_count
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class FactorizationConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.rank >= 1:
-            raise ValueError(f"rank={self.rank} must be at least 1")
+        if not is_count(self.rank, 1):
+            raise ValueError(f"rank={self.rank} must be an integer of at least 1")
         check_solver_settings(self.lam, self.tol, self.max_iter)
 
 

@@ -8,6 +8,7 @@ Constructors reject non-finite entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +48,25 @@ def as_system(a, y) -> tuple[np.ndarray, np.ndarray]:
     return a, y
 
 
+def is_count(value, least: int) -> bool:
+    """Whether *value* is an integer, Python's or numpy's but not a float,
+    of at least *least*: the rule of every count setting."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 def check_solver_settings(lam: float | None, tol: float | None, max_iter: int) -> None:
     """Every solve's settings rule: lam and tol are None (the default rule) or
-    finite and positive, as the shrink threshold is 1/lam; max_iter >= 1."""
+    finite and positive, as the shrink threshold is 1/lam; max_iter is an
+    integer >= 1."""
     if lam is not None and not 0 < lam < math.inf:
         raise ValueError(f"lam={lam} must be finite and positive")
     if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"tol={tol} must be finite and positive")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter={max_iter} must be at least 1")
+    if not is_count(max_iter, 1):
+        raise ValueError(f"max_iter={max_iter} must be an integer of at least 1")
 
 
 def check_zero_tol(zero_tol: float) -> float:
@@ -137,64 +148,54 @@ REFIT_FLOOR = 0.25
 GATHER = 1 << 12
 
 
-def downdate(factors, rows: np.ndarray):
-    """The solve x = V S⁻¹ G⁻¹ Uᵀ z, G = U_cᵀU_c = I - U_oᵀU_o, for A = U S Vᵀ
-    (its `range_factors`) with the rows *rows* (ascending indices) set apart.
+def clean_solve(a: np.ndarray, factors, rows: np.ndarray):
+    """The fit of A's clean rows c, all but *rows* (ascending indices), for
+    A and its `range_factors` U S Vᵀ: returns (solve, exact).
 
-    Takes the n x n eigh(U_oᵀU_o) = Q sigma² Qᵀ once, which gives U_o's
-    squared singular values and right vectors without an SVD of U_o:
-    lambda_min(G) = 1 - sigma_max² and G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ
-    (Golub & Van Loan, Matrix Computations, section 6.5).  U_oᵀU_o is summed
-    over chunks of GATHER entries of U_o.  Returns solve(z) for a length-m z,
-    or None when A is rank-deficient or lambda_min(G) < REFIT_FLOOR.  With
-    z = y on the clean rows and 0 on the others, solve(z) is the
-    least-squares fit of the clean rows.
+    solve(z), for a length-m z, is x = (A_cᵀA_c)⁻¹ Aᵀz when *exact*, that is
+    when A_c has full column rank; with z = y on the clean rows and 0 on
+    *rows* it is the least-squares fit of the clean rows, minimum-norm when
+    A_c is rank-deficient, as `least_squares_solve` forms it.  A full-rank A
+    whose lambda_min(G) >= REFIT_FLOOR is downdated: one n x n
+    eigh(U_oᵀU_o) = Q sigma² Qᵀ, summed over chunks of GATHER entries of U_o,
+    gives lambda_min(G) = 1 - sigma_max² and G⁻¹ = I + Q (sigma² / (1 -
+    sigma²)) Qᵀ without an SVD of U_o (Golub & Van Loan, Matrix Computations,
+    section 6.5), and x = V S⁻¹ G⁻¹ Uᵀz.  Otherwise, as when the rows carry
+    most of a direction of A, A_c = U_c S_c V_cᵀ is factored afresh and
+    x = V_c S_c⁻¹ (U_cᵀ z_c + S_c⁻¹ V_cᵀ A_oᵀ z_o); x = 0 when no row is clean.
     """
     u, s, vt = factors
-    if s.size < vt.shape[1]:
-        return None
-    step = max(1, GATHER // s.size)
-    uo = u[rows[:step]]
-    gram = uo.T @ uo
-    for lo in range(step, rows.size, step):
-        uo = u[rows[lo:lo + step]]
-        gram += uo.T @ uo
-    sq, q = np.linalg.eigh(gram)  # ascending
-    if 1.0 - sq[-1] < REFIT_FLOOR:
-        return None
-    gain = sq / (1.0 - sq)
+    n = a.shape[1]
+    if s.size == n:
+        step = max(1, GATHER // n)
+        uo = u[rows[:step]]
+        gram = uo.T @ uo
+        for lo in range(step, rows.size, step):
+            uo = u[rows[lo:lo + step]]
+            gram += uo.T @ uo
+        sq, q = np.linalg.eigh(gram)  # ascending
+        if 1.0 - sq[-1] >= REFIT_FLOOR:
+            gain = sq / (1.0 - sq)
 
-    def solve(z):
-        coef = u.T @ z
-        coef += q @ (gain * (q.T @ coef))
-        return vt.T @ (coef / s)
+            def solve(z):
+                coef = u.T @ z
+                coef += q @ (gain * (q.T @ coef))
+                return vt.T @ (coef / s)
 
-    return solve
-
-
-def clean_solve(a: np.ndarray, rows: np.ndarray):
-    """The solve of `downdate`, x = (A_cᵀA_c)⁻¹ Aᵀz with the rows *rows* set
-    apart, from a fresh `range_factors` A_c = U_c S_c V_cᵀ of the other rows:
-    x = V_c S_c⁻¹ (U_cᵀ z_c + S_c⁻¹ V_cᵀ A_oᵀ z_o).  For when `downdate`
-    refuses; returns None when A_c is rank-deficient.  With z = 0 on *rows*
-    it is the least-squares fit of the clean rows, as `least_squares_solve`
-    forms it.
-    """
-    if a.shape[0] - rows.size < a.shape[1]:
-        return None
+            return solve, True
+    if rows.size == a.shape[0]:
+        return (lambda z: np.zeros(n)), False
     clean = np.ones(a.shape[0], dtype=bool)
     clean[rows] = False
-    u, s, vt = range_factors(a[clean])
-    if s.size < a.shape[1]:
-        return None
+    u_c, s_c, vt_c = range_factors(a[clean])
     a_o = a[rows]
 
     def solve(z):
-        coef = u.T @ z[clean]
-        coef += (vt @ (a_o.T @ z[rows])) / s
-        return vt.T @ (coef / s)
+        coef = u_c.T @ z[clean]
+        coef += (vt_c @ (a_o.T @ z[rows])) / s_c
+        return vt_c.T @ (coef / s_c)
 
-    return solve
+    return solve, s_c.size == n
 
 
 def range_projector(a: np.ndarray, factors):

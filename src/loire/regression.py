@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings, clean_solve,
-                     downdate, range_factors, range_projector)
+                     range_factors, range_projector)
 
 
 @dataclass(frozen=True)
@@ -71,38 +71,36 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors):
     """`loire_solve` on a system `as_system` validated, with the
     `range_factors` of *a* given, so a caller that reuses them factors A once.
 
-    Returns the solution and, when the run ended on a certified exact
-    minimizer, the count of its outlier rows O and their `downdate` solve,
-    else None.
+    Returns the solution and *last*, the (rows, solve, exact) of the finish's
+    latest `clean_solve`, or None when it took none.
 
     Minimizing f(x, b) over b leaves Huber's loss of r = y - A x at
     tau = 1/lam (She & Owen, JASA 2011).  So once the loop's outlier rows O
     and signs s are right, the exact minimizer solves the normal equations
-    A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, one downdate with z = y on the clean
-    rows and tau s on O (Madsen & Nielsen, BIT 1990).  The loop's finish
-    takes it, with O and s from b, and accepts it only on the certificate
-    |r_c| <= tau and s_o r_o >= tau; it works in the loop's residual and,
-    through the downdate, holds no other array of y's size.  Where the
-    downdate refuses because the rows O carry most of a direction of A, the
-    finish takes the same solve from a fresh factorization of the clean rows
-    (`clean_solve`, which holds a copy of A_c and its factors), and fails
-    only when those rows leave A_c rank-deficient; A rank-deficient fails at
-    once.  The solve of the last O tried is kept, so steps that leave O as
-    it was factor nothing again.
+    A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, one `clean_solve` of the rows O with
+    z = y on the clean rows and tau s on O (Madsen & Nielsen, BIT 1990).  The
+    loop's finish takes it, with O and s from b, and accepts it only on the
+    certificate |r_c| <= tau and s_o r_o >= tau; it works in the loop's
+    residual and, where the solve downdates the factors of A, holds no other
+    array of y's size.  It refuses where the clean rows leave A_c
+    rank-deficient, as the normal equations may then have no solution, and
+    at once, factoring nothing, when A is rank-deficient.  The solve of the
+    last O tried is kept, so steps that leave O as it was factor nothing
+    again.
     """
     project, x = range_projector(a, factors)
-    certified = last = None
+    full_rank = factors[1].size == a.shape[1]
+    last = None
 
     def finish(b, res, tau):
-        nonlocal certified, last
+        nonlocal last
+        if not full_rank:
+            return False
         rows = np.flatnonzero(b)
         if last is None or not np.array_equal(last[0], rows):
-            solve = downdate(factors, rows)
-            if solve is None and factors[1].size == a.shape[1]:
-                solve = clean_solve(a, rows)
-            last = rows, solve
-        solve = last[1]
-        if solve is None:
+            last = (rows, *clean_solve(a, factors, rows))
+        _, solve, exact = last
+        if not exact:
             return False
         s = np.sign(b[rows])
         np.copyto(res, y)
@@ -117,10 +115,9 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors):
         if clean_ok and (s >= tau).all():
             res[rows] = r_o
             np.copyto(x, x_exact)
-            certified = rows.size, solve
             return True
         np.subtract(y, b, out=res)
         return False
 
     run = _shrink_project(y, project, cfg, finish)
-    return LoireSolution(**vars(run), x=x), certified
+    return LoireSolution(**vars(run), x=x), last

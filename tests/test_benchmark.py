@@ -186,9 +186,11 @@ class TestBaselineLad:
         assert 0.0 < res.gap <= 1.0
 
     def test_max_iter_below_one_raises(self):
-        # would return x = 0 after no iteration
-        with pytest.raises(ValueError, match="max_iter"):
-            baseline_lad(np.ones((3, 1)), [1.0, 2.0, 9.0], max_iter=0)
+        # 0 would return x = 0 after no iteration; 2.5 is no count, and would
+        # leave the run uncapped
+        for max_iter in (0, 2.5):
+            with pytest.raises(ValueError, match="max_iter"):
+                baseline_lad(np.ones((3, 1)), [1.0, 2.0, 9.0], max_iter=max_iter)
 
     def test_records_trace_and_certificate(self):
         # one objective per vertex, falling, the last one ||y - A x||_1 at

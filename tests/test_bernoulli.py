@@ -9,7 +9,7 @@ import pytest
 from loire import (AllRowsOutliers, InfeasibleRadius, LoireConfig, OracleConfig,
                    app_bem, bernoulli_oracle, default_zero_tol, detect_support,
                    default_lambda, least_squares_solve, loire_solve)
-from loire.bernoulli import _refit
+from loire import linalg
 from loire.linalg import range_factors
 from oracles import counting_svd, loire_plain_alternation
 
@@ -150,19 +150,17 @@ class TestAppBem:
 
 
 class TestRefit:
-    """The clean-row refit downdates the stage-1 SVD of a full-rank A, and
-    falls back to the minimum-norm least_squares_solve on the clean rows."""
+    """The clean-row refit downdates the stage-1 factors of a full-rank A,
+    and else takes the minimum-norm fit from a fresh factorization of the
+    clean rows."""
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """The systems the refit hands to least_squares_solve."""
+        """The shapes of the clean-row matrices `clean_solve` factors afresh."""
         calls = []
-
-        def counted(a, y):
-            calls.append(np.shape(a))
-            return least_squares_solve(a, y)
-
-        monkeypatch.setattr("loire.bernoulli.least_squares_solve", counted)
+        real = linalg.range_factors
+        monkeypatch.setattr(linalg, "range_factors",
+                            lambda a: calls.append(np.shape(a)) or real(a))
         return calls
 
     def test_full_rank_app_bem_factors_a_once(self, monkeypatch):
@@ -202,7 +200,9 @@ class TestRefit:
             assert sol.loire.objective_trace == stage1.objective_trace
             flagged = detect_support(stage1.b, default_zero_tol(y))
             assert sol.support == tuple(np.flatnonzero(flagged))
+            assert fallbacks == []
             x = least_squares_solve(a[~flagged], y[~flagged])
+            fallbacks.clear()  # the reference solve's own factorization
             assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
             assert wl.check_bem(a, y, sol.x, sol.b, sol.support, sol.loire.objective_trace,
                                 sol.loire.iterations) == []
@@ -254,10 +254,32 @@ class TestRefit:
         assert np.array_equal(sol.x, least_squares_solve(a[clean], y[clean]))
         assert sol.x[1] == pytest.approx(sol.x[2], rel=1e-12)  # the split of least norm
 
+    def test_finish_rows_left_unflagged_are_not_set_apart(self, fallbacks):
+        # rows 5 and 17 sit at residuals tau + 20 and tau + 1e-8 (tau = 1)
+        # from the minimizer for that outlier set, whose x does not depend on
+        # y_5 and y_17: the finish certifies both, but row 17's b is under
+        # the zero_tol cut, so the refit sets apart row 5 alone and does not
+        # reuse the finish's solve
+        rng = np.random.default_rng(4)
+        t = rng.uniform(0, 10, 30)
+        a = np.column_stack([np.ones(30), t])
+        y = 1 + 2.5 * t + 0.05 * rng.normal(size=30)
+        clean = np.ones(30, dtype=bool)
+        clean[[5, 17]] = False
+        a_c, a_o = a[clean], a[[5, 17]]
+        x = np.linalg.solve(a_c.T @ a_c, a_c.T @ y[clean] + a_o.T @ [1.0, 1.0])
+        y[[5, 17]] = a_o @ x + [21.0, 1.0 + 1e-8]
+        sol = app_bem(a, y, LoireConfig(lam=1.0))
+        assert sol.loire.converged and np.count_nonzero(sol.loire.b) == 2
+        assert sol.support == (5,) and fallbacks == []
+        clean[17] = True
+        x = least_squares_solve(a[clean], y[clean])
+        assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+
     def test_no_clean_row_gives_x_zero(self, fallbacks):
         a = np.random.default_rng(2).normal(size=(4, 2))
-        x = _refit(a, np.arange(4.0), np.zeros(4, dtype=bool), range_factors(a))
-        assert np.array_equal(x, np.zeros(2))
+        solve, exact = linalg.clean_solve(a, range_factors(a), np.arange(4))
+        assert np.array_equal(solve(np.arange(4.0)), np.zeros(2)) and not exact
         assert fallbacks == []
 
 
@@ -280,7 +302,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("kwargs", [
         {"t": -1.0, "max_support": 1}, {"t": math.nan, "max_support": 1},
-        {"t": 1.0, "max_support": -1},
+        {"t": 1.0, "max_support": -1}, {"t": 1.0, "max_support": 1.5},
     ])
     def test_invalid_config_raises(self, kwargs):
         # with t = NaN no residual is within the radius: every solve would be infeasible

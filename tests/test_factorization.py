@@ -17,6 +17,7 @@ class TestConfig:
         {"rank": 1, "lam": 1.0, "max_iter": 0},
         {"rank": 1, "lam": math.nan}, {"rank": 1, "lam": math.inf},
         {"rank": 1, "tol": math.nan}, {"rank": 1, "tol": math.inf},
+        {"rank": 1.5, "lam": 1.0},
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):

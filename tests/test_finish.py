@@ -2,9 +2,11 @@
 
 Once a step leaves the outlier rows O = {b != 0} as the step before did, the
 solve tries the minimizer of Huber's loss at tau = 1/lam for those rows and
-signs (one `linalg.downdate` solve, or `linalg.clean_solve` where the
-downdate refuses), and stops on it only when the certificate |r_C| <= tau,
-s_O r_O >= tau holds for r = y - A x.
+signs, one `linalg.clean_solve` of the clean rows (a downdate of the factors
+of A, or a fresh factorization of the clean rows where the downdate would
+lose digits).  It takes that solve only when `clean_solve` calls it exact,
+the clean rows keeping every direction of A, and stops on it only when the
+certificate |r_C| <= tau, s_O r_O >= tau holds for r = y - A x.
 """
 
 import tracemalloc
@@ -16,6 +18,15 @@ from loire import (LoireConfig, app_bem, default_lambda, least_squares_solve, li
                    regression)
 from oracles import loire_objective, loire_plain_alternation
 from test_regression import LOOP_CASES, _loop_case
+
+
+@pytest.fixture
+def clean_factorizations(monkeypatch):
+    """The shapes of the clean-row matrices `clean_solve` factors afresh."""
+    shapes = []
+    real = linalg.range_factors
+    monkeypatch.setattr(linalg, "range_factors", lambda a: shapes.append(np.shape(a)) or real(a))
+    return shapes
 
 
 @pytest.fixture
@@ -133,26 +144,26 @@ def _high_leverage_case(t_far):
 
 
 @pytest.mark.parametrize("t_far", [3.0, 4.0, 10.0, 30.0])
-def test_high_leverage_rows_finish_from_the_clean_rows(finishes, t_far):
-    # the downdate refuses (lambda_min(G) < REFIT_FLOOR), so the finish
-    # takes the same solve from a factorization of the 40 clean rows and
-    # certifies at once, where the loop alone needs hundreds of steps and
-    # caps unconverged at t_far = 30
+def test_high_leverage_rows_finish_from_the_clean_rows(finishes, clean_factorizations, t_far):
+    # lambda_min(G) < REFIT_FLOOR, so the finish takes its solve from a
+    # factorization of the 40 clean rows and certifies at once, where the
+    # loop alone needs hundreds of steps and caps unconverged at t_far = 30
     a, y, lam = _high_leverage_case(t_far)
     out = np.array([40, 41])
-    assert linalg.downdate(linalg.range_factors(a), out) is None
     sol = loire_solve(a, y, LoireConfig(lam=lam))
+    assert clean_factorizations == [(40, 2)]
     assert sol.converged and finishes[-1] and sol.iterations <= 3
     assert list(np.flatnonzero(sol.b)) == [40, 41]
     _assert_certified(a, y, sol)
     x_ref, b_ref, _, iterations, converged = loire_plain_alternation(a, y, lam)
     assert converged and sol.iterations == iterations
     assert np.linalg.norm(sol.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-    # app_bem refits on the clean rows with the finish's solve
+    # app_bem refits on the clean rows with the finish's solve, factored once
     clean = np.ones(42, dtype=bool)
     clean[out] = False
+    clean_factorizations.clear()
     bem = app_bem(a, y, LoireConfig(lam=lam))
-    assert bem.support == (40, 41)
+    assert bem.support == (40, 41) and clean_factorizations == [(40, 2)]
     assert np.array_equal(bem.x, least_squares_solve(a[clean], y[clean]))
 
 
@@ -163,28 +174,46 @@ def test_clean_rows_that_lose_a_direction_refuse():
     z = np.zeros(42)
     z[[40, 41]] = [1.0, 2.0]
     a = np.column_stack([a, z])
-    assert linalg.clean_solve(a, np.array([40, 41])) is None
-    assert linalg.clean_solve(a, np.array([40])) is not None
+    factors = linalg.range_factors(a)
+    assert not linalg.clean_solve(a, factors, np.array([40, 41]))[1]
+    assert linalg.clean_solve(a, factors, np.array([40]))[1]
 
 
-def test_a_refused_clean_factorization_is_taken_once(monkeypatch, finishes):
-    # z is nonzero only on rows 40-42, whose gross errors are +40, -40, +40:
-    # while all three are flagged A_c loses z and the finish refuses.  The
-    # loop keeps those rows for hundreds of steps, and the clean rows are
-    # factored once
-    calls = []
-    real = linalg.clean_solve
-    monkeypatch.setattr(regression, "clean_solve",
-                        lambda a, rows: calls.append(list(rows)) or real(a, rows))
+def _indicator_case():
+    """A line fit with an indicator column z, nonzero only on rows 40-42,
+    whose gross errors are +40, -40, +40: while all three are flagged A_c
+    loses z."""
     rng = np.random.default_rng(1)
     t = np.concatenate([rng.uniform(0.0, 1.0, 40), [4.0, 4.0, 4.0]])
     a = np.column_stack([np.ones(43), t, (t == 4.0).astype(float)])
     y = 1.0 + 2.0 * t + 0.05 * rng.normal(size=43)
     y[40:] += [40.0, -40.0, 40.0]
+    return a, y
+
+
+def test_a_refused_clean_factorization_is_taken_once(finishes, clean_factorizations):
+    # while rows 40-42 are flagged the finish refuses.  The loop keeps those
+    # rows for hundreds of steps, and the clean rows are factored once
+    a, y = _indicator_case()
     sol = loire_solve(a, y, LoireConfig())
     assert sol.converged and finishes.count(False) > 100 and finishes[-1]
-    assert calls == [[40, 41, 42]]
+    assert clean_factorizations == [(40, 3)]
     _assert_certified(a, y, sol)
+
+
+def test_a_certificate_on_rank_deficient_clean_rows_is_not_taken():
+    # at lam = 5 the minimum-norm fit for outlier rows 40-42, with x_z = 0,
+    # meets the certificate, but it is no minimizer: the objective still
+    # falls along z, as s_Oᵀ A_O e_z = 1, and reads 119.5 there against
+    # 79.9 at the minimizer.  The finish refuses it, as `clean_solve` calls
+    # it not exact, and the solve runs on to the loop's own fixed point
+    a, y = _indicator_case()
+    sol = loire_solve(a, y, LoireConfig(lam=5.0))
+    x_ref, b_ref, trace, iterations, converged = loire_plain_alternation(a, y, 5.0)
+    assert sol.converged and converged and sol.iterations == iterations
+    assert list(np.flatnonzero(sol.b)) == list(np.flatnonzero(b_ref)) == [41]
+    f = loire_objective(a, y, sol.x, sol.b, 5.0)
+    assert abs(f - trace[-1]) <= 1e-9 * trace[-1]
 
 
 @pytest.mark.parametrize("case", ["rank_deficient"])

@@ -24,6 +24,7 @@ class TestConfig:
         # lam = inf makes the threshold 1/lam 0 and the objective NaN; a NaN
         # tol never stops the loop, an inf one stops it after one step
         {"lam": math.nan}, {"lam": math.inf}, {"tol": math.nan}, {"tol": math.inf},
+        {"lam": 1.0, "max_iter": 2.5},
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
