@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_system, check_solver_settings, data_norm, range_factors
+from .linalg import as_system, check_solver_settings, data_norm, is_count, range_factors
 from .regression import LoireConfig
 
 
@@ -29,8 +29,8 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError(f"n={self.n} must be positive")
+        if not is_count(self.n, 1):
+            raise ValueError(f"n={self.n} must be a positive integer")
         if not 0 < self.rank_frac <= 1:
             raise ValueError(f"rank_frac={self.rank_frac} must lie in (0, 1]")
         if not 0 <= self.dense_noise_scale < math.inf:
@@ -39,8 +39,8 @@ class SimSpec:
             raise ValueError(f"spike_amplitude={self.spike_amplitude} must be finite and >= 0")
         if not 0 <= self.spike_density <= 1:
             raise ValueError(f"spike_density={self.spike_density} must lie in [0, 1]")
-        if not self.seed >= 0:
-            raise ValueError(f"seed={self.seed} must be nonnegative")
+        if not is_count(self.seed, 0):
+            raise ValueError(f"seed={self.seed} must be a nonnegative integer")
 
     @property
     def rank(self) -> int:

@@ -21,6 +21,8 @@ from .linalg import (as_matrix, as_system, as_vector, check_zero_tol, clean_solv
 from .regression import LoireConfig, LoireSolution, _loire_solve
 
 ENUMERATION_CAP = 10**6
+# the default support cutoff, as a fraction of max |y|
+ZERO_TOL_FRAC = 1e-6
 
 
 class AllRowsOutliers(ValueError):
@@ -66,13 +68,13 @@ def _as_data(y) -> np.ndarray:
 
 
 def default_zero_tol(y) -> float:
-    """Support-detection cutoff 1e-6 * max |entry| of a vector or matrix."""
+    """Support-detection cutoff ZERO_TOL_FRAC * max |entry| of a vector or matrix."""
     return _zero_tol(_as_data(y))
 
 
 def _zero_tol(y: np.ndarray) -> float:
     """`default_zero_tol` of a validated array."""
-    return 1e-6 * float(np.max(np.abs(y)))
+    return ZERO_TOL_FRAC * float(np.max(np.abs(y)))
 
 
 def detect_support(b: np.ndarray, zero_tol: float) -> np.ndarray:

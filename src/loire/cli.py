@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .benchmark import SimSpec, baseline_lad, compute_metrics, generate_sim
-from .bernoulli import (OracleConfig, app_bem, bernoulli_oracle, default_zero_tol,
-                        detect_support, enumeration_count)
+from .bernoulli import (ZERO_TOL_FRAC, OracleConfig, app_bem, bernoulli_oracle,
+                        default_zero_tol, detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
 from .linalg import MAD_C, MAD_FLOOR, MAD_NORMAL, check_zero_tol, least_squares_solve
 from .pgm import FrameStack, read_pgm, write_pgm
@@ -98,7 +98,8 @@ def build_parser() -> _Parser:
     _add_solver_flags(p_sim, FactorizationConfig)
     for p in (p_reg, p_sim):  # bgmodel reports |B| itself, not a support
         p.add_argument("--zero-tol", type=float, default=None,
-                       help="flag entries with |b| above this (default: 1e-6*max|y|)")
+                       help="flag entries with |b| above this "
+                       f"(default: {ZERO_TOL_FRAC:g}*max|y|)")
 
     p_bg = sub.add_parser("bgmodel", help="background/foreground split of a PGM sequence")
     p_bg.add_argument("frames", help="glob pattern matching the input PGM frames")
@@ -239,8 +240,8 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
         _warn_unconverged(run, f"regress method={method}", target)
     return {
         "method": method,
-        "x": [float(v) for v in x],
-        "b": [float(v) for v in b],
+        "x": x.tolist(),
+        "b": b.tolist(),
         "support": support,
         "objective_trace": [] if run is None else run.objective_trace,
         "iterations": 1 if run is None else run.iterations,

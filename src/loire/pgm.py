@@ -53,6 +53,8 @@ def write_pgm(path, frame: np.ndarray) -> None:
     if frame.ndim != 2:
         raise PgmError(f"frame must be 2-d, got ndim={frame.ndim}")
     height, width = frame.shape
+    if width < 1 or height < 1:  # read_pgm refuses such a header
+        raise PgmError(f"frame is {width}x{height}; both sides must be at least 1")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(frame.tobytes())

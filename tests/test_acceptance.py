@@ -247,7 +247,7 @@ def test_criterion_9_determinism(tmp_path):
         w.writerow(["c", "y"])
         w.writerows([[1, 1], [1, 1], [1, 1], [1, 11]])
     reg_args = ["regress", str(data), "--target", "y", "--lambda", "1",
-                "--method", "appbem,oracle", "--timing", "none"]
+                "--method", "loire,appbem,oracle", "--timing", "none"]
     ok &= cli_main(reg_args + ["--out", str(tmp_path / "r1")]) == 0
     ok &= cli_main(reg_args + ["--out", str(tmp_path / "r2")]) == 0
     ok &= ((tmp_path / "r1" / "solution.json").read_bytes()

@@ -62,6 +62,9 @@ class TestGenerator:
     def test_invalid_spec_raises(self):
         with pytest.raises(ValueError):
             SimSpec(n=0)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            SimSpec(n=20.5)  # generate_sim would die on it with a TypeError
+        SimSpec(n=np.int64(10), seed=np.int64(1))  # numpy integers are counts
         with pytest.raises(ValueError):
             SimSpec(n=10, spike_density=1.5)
         with pytest.raises(ValueError):
@@ -71,7 +74,8 @@ class TestGenerator:
         for kwargs in ({"dense_noise_scale": math.nan}, {"dense_noise_scale": math.inf},
                        {"dense_noise_scale": -2.0}, {"spike_amplitude": math.nan},
                        {"spike_amplitude": math.inf}, {"spike_amplitude": -1.0},
-                       {"rank_frac": math.nan}, {"spike_density": math.nan}, {"seed": -1}):
+                       {"rank_frac": math.nan}, {"spike_density": math.nan}, {"seed": -1},
+                       {"seed": 1.5}):
             with pytest.raises(ValueError, match="must"):
                 SimSpec(n=10, **kwargs)
 
@@ -211,7 +215,8 @@ class TestBaselineLad:
         # certifies it, and a cap of two stops one pivot short, flagged
         a, y = _capped_beside_a_vertex()
         res = baseline_lad(a, y, max_iter=3)
-        assert res.converged and res.iterations == 3 and abs(res.gap) <= 1e-12
+        assert res.converged and res.iterations == len(res.objective_trace) == 3
+        assert abs(res.gap) <= 1e-12
         np.testing.assert_allclose(res.b, y - a @ res.x, rtol=0, atol=1e-12)
         best = lad_vertex_enumeration(a, y)
         assert np.abs(y - a @ res.x).sum() == pytest.approx(best, rel=1e-12)

@@ -240,6 +240,9 @@ class TestRefit:
         clean[[6, 12, 21]] = False
         assert np.array_equal(sol.x, least_squares_solve(a[clean], y[clean]))
         assert sol.x[2] == 0.0
+        assert _perfbench_workloads().check_bem(a, y, sol.x, sol.b, sol.support,
+                                                sol.loire.objective_trace,
+                                                sol.loire.iterations) == []
 
     def test_rank_deficient_a_gets_the_minimum_norm_fit(self, fallbacks):
         rng = np.random.default_rng(3)

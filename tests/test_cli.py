@@ -1,12 +1,16 @@
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loire import (FactorizationConfig, FrameStack, LoireConfig, SimSpec, baseline_lad, cli,
-                   generate_sim, read_pgm, rrf_solve, write_pgm)
+                   generate_sim, linalg, read_pgm, rrf_solve, write_pgm)
 from loire.cli import REPORT_COLUMNS, _read_regression_csv, main
 
 
@@ -92,6 +96,22 @@ class TestRegress:
         assert entry["support"] == [3]
         assert entry["x"] == pytest.approx([1.0])
 
+    def test_oracle_at_the_appbem_radius_flags_the_same_rows(self, tmp_path):
+        # without --radius the oracle searches within 1.05 times appBEM's
+        # residual norm: 12 rows of a line with gross errors on rows 2 and 9
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 10, 12)
+        y = 1 + 2.5 * x + rng.normal(0, 0.1, 12)
+        y[[2, 9]] += [40, -30]
+        path = tmp_path / "two.csv"
+        write_csv(path, ["x", "y"], list(zip(x, y)))
+        out = tmp_path / "out"
+        assert main(["regress", str(path), "--target", "y", "--intercept",
+                     "--method", "appbem,oracle", "--max-support", "3", "--timing", "none",
+                     "--out", str(out)]) == 0
+        sols = load_solution(out)
+        assert sols["appbem"]["support"] == sols["oracle"]["support"] == [2, 9]
+
     def test_oracle_refused_above_enumeration_guard(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = [(float(v), float(2 * v)) for v in rng.uniform(size=40)]
@@ -133,7 +153,7 @@ class TestRegress:
         rc = main(["regress", str(path), "--target", "y", "--out", str(out)])
         assert rc == 2
         assert f"loire: error: {path}:4: non-finite field" in capsys.readouterr().err
-        assert not (out / "solution.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         "x,y\n1,2\n3,4.5\n",                 # bulk parse
@@ -181,19 +201,22 @@ class TestRegress:
 
     def test_unconverged_solve_warns(self, corrupted_fixture, tmp_path, capsys):
         path, _ = corrupted_fixture
+        # each capped method warns once, in order, and ols, which iterates none, not at all
         args = ["regress", str(path), "--target", "y", "--intercept",
-                "--method", "loire,appbem,ols", "--timing", "none"]
+                "--method", "loire,appbem,lad,ols", "--timing", "none"]
         assert main(args + ["--out", str(tmp_path / "default")]) == 0
         assert "warning" not in capsys.readouterr().err
         assert main(args + ["--max-iter", "1", "--tol", "1e-300",
                             "--out", str(tmp_path / "capped")]) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines()
                     if "warning" in line]
-        assert len(warnings) == 2
-        assert all("max_iter=1" in line for line in warnings)
-        assert "method=loire" in warnings[0] and "method=appbem" in warnings[1]
+        assert len(warnings) == 3
+        assert all(line.startswith("loire: warning: regress method=") and "max_iter=1" in line
+                   for line in warnings)
+        for line, method in zip(warnings, ("loire", "appbem", "lad")):
+            assert f"method={method}:" in line
         entries = load_solution(tmp_path / "capped")
-        assert not entries["loire"]["converged"] and not entries["appbem"]["converged"]
+        assert not any(entries[k]["converged"] for k in ("loire", "appbem", "lad"))
 
     def test_lad_runs(self, corrupted_fixture, tmp_path):
         path, clean_slope = corrupted_fixture
@@ -276,11 +299,14 @@ class TestSimulate:
         assert float(rows[0]["F"]) == 1.0
 
     def test_deterministic_report_bytes(self, tmp_path):
-        args = ["simulate", "--n", "40", "--seed", "7", "--timing", "none"]
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        # a converged report, and one capped before it converges
+        for run, flags in enumerate((["--n", "40", "--seed", "7"],
+                                     ["--n", "30", "--max-iter", "3", "--tol", "1e-300"])):
+            args = ["simulate", *flags, "--timing", "none"]
+            out1, out2 = tmp_path / f"r{run}a", tmp_path / f"r{run}b"
+            assert main(args + ["--out", str(out1)]) == 0
+            assert main(args + ["--out", str(out2)]) == 0
+            assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
     def test_rows_parse_back_to_reports(self, tmp_path):
         out = tmp_path / "out"
@@ -291,6 +317,8 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert [(int(r["N"]), int(r["seed"])) for r in rows] \
             == [(30, 0), (30, 1), (40, 0), (40, 1)]
+        assert REPORT_COLUMNS == ("method", "N", "seed", "lambda", "tol", "iterations", "DR",
+                                  "Pre", "F", "wall_time_s", "converged")
         for row in rows:
             assert tuple(row) == REPORT_COLUMNS
             for k in ("lambda", "tol", "DR", "Pre", "F", "wall_time_s"):
@@ -352,7 +380,7 @@ class TestSimulate:
         monkeypatch.setattr("loire.cli.rrf_solve", lambda *args: solves.append(args))
         out = tmp_path / "out"
         assert main(["simulate", "--n", dims, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "loire: error: n=0 must be positive\n"
+        assert capsys.readouterr().err == "loire: error: n=0 must be a positive integer\n"
         assert solves == [] and not out.exists()
 
 
@@ -433,27 +461,51 @@ class TestBgmodel:
             np.testing.assert_array_equal(read_pgm(out / f"background_{j:04d}.pgm"),
                                           background)
 
+    @staticmethod
+    def _two_block_square(tmp_path):
+        # an 8x8 square moving down 2 and right 3 pixels a frame across a
+        # static 64x64 texture: 20 frames, 81920 entries
+        background = np.random.default_rng(4).integers(40, 120, size=(64, 64)).astype(np.uint8)
+        for j in range(20):
+            frame = background.copy()
+            frame[2 * j:2 * j + 8, 3 * j:3 * j + 8] = 250
+            write_pgm(tmp_path / f"frame_{j:03d}.pgm", frame)
+
     def test_frames_match_the_full_array_formula(self, tmp_path):
-        # frame j is A X[:, j] and |B[:, j]| scaled, without a full-size A X or |B|
-        self._moving_square(tmp_path)
-        out = tmp_path / "out"
-        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--rank", "2", "--lambda", "0.1",
-                     "--out", str(out)]) == 0
-        stack = FrameStack.from_frames(read_pgm(tmp_path / f"frame_{j:03d}.pgm")
-                                       for j in range(10))
-        sol = rrf_solve(stack.matrix, FactorizationConfig(rank=2, lam=0.1))
-        background = sol.low_rank()
-        fg = np.abs(sol.b)
-        fg *= 255.0 / float(np.percentile(fg[fg > 0], 99.0))
-        np.clip(fg, 0, 255, out=fg)
-        for j in range(10):
-            want_bg = np.clip(np.rint(stack.column_to_frame(background[:, j])), 0, 255)
-            want_fg = np.rint(stack.column_to_frame(fg[:, j]))
-            assert (read_pgm(out / f"background_{j:04d}.pgm").tobytes()
-                    == want_bg.astype(np.uint8).tobytes())
-            assert (read_pgm(out / f"foreground_{j:04d}.pgm").tobytes()
-                    == want_fg.astype(np.uint8).tobytes())
-        assert np.count_nonzero(fg) > 0
+        # frame j is A X[:, j] and |B[:, j]| scaled, without a full-size A X or
+        # |B|; a run writes those frames and timing.json alone, and repeats
+        # byte for byte.  The second stack spans two blocks of the shrink sweep
+        for case, write, lam in (("square", self._moving_square, 0.1),
+                                 ("blocks", self._two_block_square, None)):
+            frames = tmp_path / case
+            frames.mkdir()
+            write(frames)
+            paths = sorted(frames.glob("frame_*.pgm"))
+            args = ["bgmodel", str(frames / "frame_*.pgm"), "--rank", "2", "--timing", "none"]
+            args += [] if lam is None else ["--lambda", str(lam)]
+            out, again = tmp_path / f"{case}-out", tmp_path / f"{case}-again"
+            assert main(args + ["--out", str(out)]) == 0
+            assert main(args + ["--out", str(again)]) == 0
+            names = [f"{kind}_{j:04d}.pgm" for kind in ("background", "foreground")
+                     for j in range(len(paths))] + ["timing.json"]
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (again / name).read_bytes()
+            stack = FrameStack.from_frames(read_pgm(p) for p in paths)
+            assert (stack.matrix.size > linalg.BLOCK) == (case == "blocks")
+            sol = rrf_solve(stack.matrix, FactorizationConfig(rank=2, lam=lam))
+            background = sol.low_rank()
+            fg = np.abs(sol.b)
+            fg *= 255.0 / float(np.percentile(fg[fg > 0], 99.0))
+            np.clip(fg, 0, 255, out=fg)
+            for j in range(len(paths)):
+                want_bg = np.clip(np.rint(stack.column_to_frame(background[:, j])), 0, 255)
+                want_fg = np.rint(stack.column_to_frame(fg[:, j]))
+                assert (read_pgm(out / f"background_{j:04d}.pgm").tobytes()
+                        == want_bg.astype(np.uint8).tobytes())
+                assert (read_pgm(out / f"foreground_{j:04d}.pgm").tobytes()
+                        == want_fg.astype(np.uint8).tobytes())
+            assert np.count_nonzero(fg) > 0
 
     @pytest.mark.parametrize("flag", ["--lambda-mult", "--zero-tol"])
     def test_removed_flags_rejected(self, tmp_path, flag):
@@ -546,6 +598,21 @@ def test_error_exit(tmp_path, capsys, monkeypatch, files, argv, code, message):
     assert err.startswith("loire: error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_reports_a_bad_setting_without_a_traceback(tmp_path):
+    # `python -m loire.cli` exits with main's code: one stderr line, exit 1,
+    # and no output directory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "loire.cli", "simulate", "--n", "0",
+                          "--out", str(out)], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert run.returncode == 1
+    assert run.stderr == "loire: error: n=0 must be a positive integer\n"
+    assert not out.exists()
 
 
 class TestMiscCommands:

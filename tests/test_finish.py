@@ -17,6 +17,7 @@ import pytest
 from loire import (LoireConfig, app_bem, default_lambda, least_squares_solve, linalg, loire_solve,
                    regression)
 from oracles import loire_objective, loire_plain_alternation
+from test_bernoulli import _perfbench_workloads
 from test_regression import LOOP_CASES, _loop_case
 
 
@@ -165,6 +166,8 @@ def test_high_leverage_rows_finish_from_the_clean_rows(finishes, clean_factoriza
     bem = app_bem(a, y, LoireConfig(lam=lam))
     assert bem.support == (40, 41) and clean_factorizations == [(40, 2)]
     assert np.array_equal(bem.x, least_squares_solve(a[clean], y[clean]))
+    assert _perfbench_workloads().check_bem(a, y, bem.x, bem.b, bem.support,
+                                            bem.loire.objective_trace, bem.loire.iterations) == []
 
 
 def test_clean_rows_that_lose_a_direction_refuse():

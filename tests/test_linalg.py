@@ -8,6 +8,7 @@ from loire import (FactorizationConfig, LoireConfig, OracleConfig, app_bem, base
 from loire import linalg
 from loire.cli import main
 from oracles import counting_svd
+from test_bernoulli import _perfbench_workloads
 
 
 class TestLeastSquares:
@@ -191,6 +192,34 @@ class TestRangeFactors:
         with counting_svd() as shapes:
             _, s, _ = linalg.range_factors(a)
         assert shapes == [a.shape] and s.size == np.linalg.matrix_rank(a)
+
+    @pytest.mark.parametrize("route", ["gram", "svd"])
+    def test_regression_meets_its_contracts_on_either_route(self, route):
+        # 400 rows with an intercept and 5% gross outliers: three Gaussian
+        # predictors, cond(A) < 10, or u and v = u + 1e-4 noise, cond(A) > 1e4.
+        # appBEM's refit meets the benchmark's contract (the normal equations
+        # on the clean rows) and LAD ends certified with b = y - A x
+        rng = np.random.default_rng(11)
+        m = 400
+        g = rng.normal(size=(m, 3))
+        y = 1 + g @ [2.0, -1.0, 0.5] + rng.normal(0, 0.1, m)
+        rows = rng.random(m) < 0.05
+        y[rows] += rng.choice([-1, 1], rows.sum()) * rng.uniform(10, 50, rows.sum())
+        if route == "svd":
+            u = rng.uniform(0, 10, m)
+            g = np.column_stack([u, u + rng.normal(0, 1e-4, m)])
+            y = 1 + g @ [2.0, 3.0] + rng.normal(0, 0.1, m)
+            y[rows] += rng.choice([-1, 1], rows.sum()) * rng.uniform(10, 50, rows.sum())
+        a = np.column_stack([g, np.ones(m)])
+        with counting_svd() as shapes:
+            bem = app_bem(a, y, LoireConfig())
+        assert shapes == ([] if route == "gram" else [a.shape])
+        assert bem.support and _perfbench_workloads().check_bem(
+            a, y, bem.x, bem.b, bem.support, bem.loire.objective_trace,
+            bem.loire.iterations) == []
+        lad = baseline_lad(a, y)
+        assert lad.converged and abs(lad.gap) <= 1e-12
+        np.testing.assert_allclose(lad.b, y - a @ lad.x, rtol=0, atol=1e-9 * (1 + np.abs(y).max()))
 
     @pytest.mark.parametrize("k", [510, -510])
     def test_gram_overflow_or_underflow_takes_the_svd(self, k):

@@ -53,6 +53,7 @@ class TestPgmIo:
         (np.zeros((2, 2), dtype=bool), "uint8, got dtype=bool"),
         (np.zeros((2, 2, 1), dtype=np.uint8), "2-d, got ndim=3"),
         (np.zeros(4, dtype=np.uint8), "2-d, got ndim=1"),
+        (np.zeros((0, 3), dtype=np.uint8), "3x0; both sides must be at least 1"),
     ])
     def test_write_refuses_what_is_not_a_uint8_frame(self, tmp_path, frame, message):
         p = tmp_path / "w.pgm"
