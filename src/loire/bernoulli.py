@@ -106,21 +106,18 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
     """Two-stage estimate: shrinkage-based support detection, then clean refit.
 
     The stage-1 solve and the refit share one validation and one
-    `range_factors` of A.  The refit is the `clean_solve` of the flagged
-    rows, reused from the stage-1 finish when its latest attempt set apart
-    exactly those rows.
+    factorization of A: the refit is the clean-row fit `_loire_solve`
+    returns, taken on the flagged rows, which reuses the finish's solve when
+    its latest attempt set apart exactly those rows.
     """
     a, y = as_system(a, y)
     zero_tol = _zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
-    factors = range_factors(a)
-    stage1, last = _loire_solve(a, y, cfg, factors)
+    stage1, fit = _loire_solve(a, y, cfg)
     flagged = _support(stage1.b, zero_tol)
     if flagged.all():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
     rows = np.flatnonzero(flagged)
-    if last is None or not np.array_equal(last[0], rows):
-        last = rows, *clean_solve(a, factors, rows)
-    x = last[1](np.where(flagged, 0.0, y))  # z = y on the clean rows, 0 on the flagged
+    x = fit(rows)[0](np.where(flagged, 0.0, y))  # z = y on the clean rows, 0 on the flagged
     # b is formed once the refit's temporaries are freed and reuses their
     # heap space; formed among them it pins the heap top (+3 MB peak for a
     # later solve on 50000 x 20)

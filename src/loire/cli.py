@@ -146,7 +146,7 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
                 reader = csv.reader(fh)
                 next(reader)
                 data = _read_rows(reader, path, len(header))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}")
     y = data[:, t_idx].copy()  # a view would keep all of data alive through every solve
     names = [h for i, h in enumerate(header) if i != t_idx]
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:  # PgmError is a ValueError
+    except (DataError, ValueError, OSError) as exc:  # PgmError is a ValueError
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

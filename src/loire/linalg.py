@@ -198,23 +198,6 @@ def clean_solve(a: np.ndarray, factors, rows: np.ndarray):
     return solve, s_c.size == n
 
 
-def range_projector(a: np.ndarray, factors):
-    """Projector onto the numerical range of *a*, from its `range_factors`:
-    returns (project, x), where project(res) overwrites res with A x for the
-    minimum-norm fit x = vt_rᵀ ((u_rᵀ res) / sigma_r) of res, left in x."""
-    ur, sr, vr = factors
-    coef = np.empty(sr.shape[0])
-    x = np.zeros(a.shape[1])
-
-    def project(res):
-        np.matmul(ur.T, res, out=coef)
-        np.divide(coef, sr, out=coef)
-        np.matmul(vr.T, coef, out=x)
-        np.matmul(a, x, out=res)
-
-    return project, x
-
-
 # 1/lam = MAD_NORMAL * max(MAD_C * median|r|, MAD_FLOOR * median|y - median(y)|)
 # on the residual r = y - P(y) of the first projection (Hampel's robust scale)
 MAD_NORMAL = 1.4826
@@ -294,13 +277,13 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     so they can differ in the last bits from sums over the whole array; b
     does not depend on BLOCK.
 
-    *finish(b, res, thresh)*, when given, is tried after each step that does
-    not meet tol and leaves the support of b (its nonzero entries) as the
-    step before left it, so never after the first.  It returns True once it
-    has certified the exact minimizer for the support and signs of b, taken
-    its coefficients and written its residual into res; else False, with res
-    left as y - b.  On True one more sweep sets b = shrink(res, thresh), the
-    step's objective becomes the minimizer's, and the run stops converged.
+    *finish(b, res, thresh)*, when given, is tried after each step but the
+    first that does not meet tol, so a one-step run tries none.  It returns
+    True once it has certified the exact minimizer for the support and signs
+    of b, taken its coefficients and written its residual into res; else
+    False, with res left as y - b.  On True one more sweep sets
+    b = shrink(res, thresh), the step's objective becomes the minimizer's,
+    and the run stops converged.
     """
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
@@ -314,10 +297,8 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
 
     def sweep(fold):
         """b <- shrink(r, thresh) on r = y - res when *fold*, else r = res, and
-        res <- y - b; returns the objective, ||Δb||² and, when there is a
-        finish, the count of entries that entered or left the support."""
+        res <- y - b; returns the objective and ||Δb||²."""
         l1 = sq = step = 0.0
-        moved = 0
         for y_blk, b_blk, r, nb in blocks:
             if fold:
                 np.subtract(y_blk, r, out=r)
@@ -330,12 +311,9 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
             step += float(np.dot(r, r))
             np.abs(nb, out=r)
             l1 += float(r.sum())
-            if finish is not None:
-                np.logical_xor(b_blk, nb, out=r)
-                moved += np.count_nonzero(r)
             np.copyto(b_blk, nb)
             np.subtract(y_blk, nb, out=r)
-        return l1 + 0.5 * lam * sq, step, moved
+        return l1 + 0.5 * lam * sq, step
 
     trace: list[float] = []
     for it in range(1, cfg.max_iter + 1):
@@ -346,11 +324,11 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
             lam = _mad_lambda(y, res, b)  # b is 0 on the first step, free as scratch
             b.fill(0.0)
         thresh = 1.0 / lam
-        objective, step, moved = sweep(fold)
+        objective, step = sweep(fold)
         trace.append(objective)
         if math.sqrt(step) <= tol:
             return ShrinkRun(b, trace, it, True, tol, lam)
-        if finish is not None and not moved and finish(b, res, thresh):
+        if finish is not None and it > 1 and finish(b, res, thresh):
             trace[-1] = sweep(False)[0]
             return ShrinkRun(b, trace, it, True, tol, lam)
     return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings, clean_solve,
-                     range_factors, range_projector)
+                     range_factors)
 
 
 @dataclass(frozen=True)
@@ -64,42 +64,53 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
     The pseudoinverse factors of A are computed once and reused.
     """
     a, y = as_system(a, y)
-    return _loire_solve(a, y, cfg, range_factors(a))[0]
+    return _loire_solve(a, y, cfg)[0]
 
 
-def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors):
-    """`loire_solve` on a system `as_system` validated, with the
-    `range_factors` of *a* given, so a caller that reuses them factors A once.
+def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
+    """`loire_solve` on a system `as_system` validated.
 
-    Returns the solution and *last*, the (rows, solve, exact) of the finish's
-    latest `clean_solve`, or None when it took none.
+    Factors A once (`range_factors`); the projector P(res) = A x, for the
+    minimum-norm fit x = V S⁻¹ Uᵀ res, leaves x in the solution.  Returns
+    the solution and *fit*: fit(rows) is the (solve, exact) of the
+    `clean_solve` of *rows* (ascending indices) on those factors, kept for
+    the last rows asked, so a caller that refits the rows the finish last
+    tried factors nothing again.
 
     Minimizing f(x, b) over b leaves Huber's loss of r = y - A x at
     tau = 1/lam (She & Owen, JASA 2011).  So once the loop's outlier rows O
     and signs s are right, the exact minimizer solves the normal equations
-    A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, one `clean_solve` of the rows O with
-    z = y on the clean rows and tau s on O (Madsen & Nielsen, BIT 1990).  The
-    loop's finish takes it, with O and s from b, and accepts it only on the
-    certificate |r_c| <= tau and s_o r_o >= tau; it works in the loop's
-    residual and, where the solve downdates the factors of A, holds no other
-    array of y's size.  It refuses where the clean rows leave A_c
-    rank-deficient, as the normal equations may then have no solution, and
-    at once, factoring nothing, when A is rank-deficient.  The solve of the
-    last O tried is kept, so steps that leave O as it was factor nothing
-    again.
+    A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, fit(O)'s solve of z = y on the clean
+    rows and tau s on O (Madsen & Nielsen, BIT 1990).  The loop tries this
+    finish after every step but the first, with O and s from b, and accepts
+    it only on the certificate |r_c| <= tau and s_o r_o >= tau; it works in
+    the loop's residual and, where the solve downdates the factors of A,
+    holds no other array of y's size.  It refuses where the clean rows leave
+    A_c rank-deficient, as the normal equations may then have no solution,
+    and at once, factoring nothing, when A is rank-deficient.
     """
-    project, x = range_projector(a, factors)
-    full_rank = factors[1].size == a.shape[1]
+    factors = ur, sr, vr = range_factors(a)
+    coef = np.empty(sr.shape[0])
+    x = np.zeros(a.shape[1])
     last = None
 
-    def finish(b, res, tau):
+    def fit(rows):
         nonlocal last
-        if not full_rank:
+        if last is None or not np.array_equal(last[0], rows):
+            last = rows, *clean_solve(a, factors, rows)
+        return last[1:]
+
+    def project(res):
+        np.matmul(ur.T, res, out=coef)
+        np.divide(coef, sr, out=coef)
+        np.matmul(vr.T, coef, out=x)
+        np.matmul(a, x, out=res)
+
+    def finish(b, res, tau):
+        if sr.size < a.shape[1]:
             return False
         rows = np.flatnonzero(b)
-        if last is None or not np.array_equal(last[0], rows):
-            last = (rows, *clean_solve(a, factors, rows))
-        _, solve, exact = last
+        solve, exact = fit(rows)
         if not exact:
             return False
         s = np.sign(b[rows])
@@ -120,4 +131,4 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig, factors):
         return False
 
     run = _shrink_project(y, project, cfg, finish)
-    return LoireSolution(**vars(run), x=x), last
+    return LoireSolution(**vars(run), x=x), fit

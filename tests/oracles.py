@@ -162,12 +162,11 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
 
     From b = 0, alternates x <- lstsq(A, y - b) (numpy's minimum-norm solve)
     with b <- sign(r) max(|r| - 1/lam, 0) on r = y - A x, until
-    ||b_new - b||_2 <= tol (default 1e-10 ||y||_2).  After an iteration that
-    does not meet tol and leaves the support {b != 0} as it was, tries
-    `huber_finish`, and stops on the minimizer it certifies, whose objective
-    replaces that iteration's.  Returns (x, b, objective trace, iterations,
-    converged), the objective being ||b||_1 + (lam/2) ||y - A x - b||_2^2
-    after each iteration.
+    ||b_new - b||_2 <= tol (default 1e-10 ||y||_2).  After every iteration
+    but the first that does not meet tol, tries `huber_finish`, and stops on
+    the minimizer it certifies, whose objective replaces that iteration's.
+    Returns (x, b, objective trace, iterations, converged), the objective
+    being ||b||_1 + (lam/2) ||y - A x - b||_2^2 after each iteration.
     """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -181,11 +180,10 @@ def loire_plain_alternation(a, y, lam, tol=None, max_iter=1000):
         b_new = np.sign(r) * np.maximum(np.abs(r) - 1.0 / lam, 0.0)
         trace.append(float(np.abs(b_new).sum() + 0.5 * lam * np.sum((r - b_new) ** 2)))
         delta = np.linalg.norm(b_new - b)
-        same_support = np.array_equal(b_new != 0, b != 0)
         b = b_new
         if delta <= tol:
             return x, b, trace, it, True
-        exact = huber_finish(a, y, b, lam) if same_support else None
+        exact = huber_finish(a, y, b, lam) if it > 1 else None
         if exact is not None:
             x, b, trace[-1] = exact
             return x, b, trace, it, True

@@ -154,15 +154,6 @@ class TestRefit:
     and else takes the minimum-norm fit from a fresh factorization of the
     clean rows."""
 
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        """The shapes of the clean-row matrices `clean_solve` factors afresh."""
-        calls = []
-        real = linalg.range_factors
-        monkeypatch.setattr(linalg, "range_factors",
-                            lambda a: calls.append(np.shape(a)) or real(a))
-        return calls
-
     def test_full_rank_app_bem_factors_a_once(self, monkeypatch):
         lstsq = []
         real = np.linalg.lstsq
@@ -186,7 +177,7 @@ class TestRefit:
         np.testing.assert_allclose(grams[1], u.T @ u, rtol=1e-12, atol=1e-15)
         assert sol.support == (4, 20, 33)
 
-    def test_batch_problems_match_a_fresh_least_squares_solve(self, fallbacks):
+    def test_batch_problems_match_a_fresh_least_squares_solve(self, clean_factorizations):
         # stage 1 is the plain loire_solve bit for bit, the refit agrees with
         # lstsq on the clean rows to 1e-12 relative without calling it, and
         # the benchmark's appBEM contract holds
@@ -200,15 +191,15 @@ class TestRefit:
             assert sol.loire.objective_trace == stage1.objective_trace
             flagged = detect_support(stage1.b, default_zero_tol(y))
             assert sol.support == tuple(np.flatnonzero(flagged))
-            assert fallbacks == []
+            assert clean_factorizations == []
             x = least_squares_solve(a[~flagged], y[~flagged])
-            fallbacks.clear()  # the reference solve's own factorization
+            clean_factorizations.clear()  # the reference solve's own factorization
             assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
             assert wl.check_bem(a, y, sol.x, sol.b, sol.support, sol.loire.objective_trace,
                                 sol.loire.iterations) == []
-        assert fallbacks == []
+        assert clean_factorizations == []
 
-    def test_huge_outliers_cost_the_refit_no_digits(self, fallbacks):
+    def test_huge_outliers_cost_the_refit_no_digits(self, clean_factorizations):
         # U_cᵀ y_c is taken with the flagged entries of y zeroed, not as
         # Uᵀy - U_oᵀy_o, which would cancel the outliers' 1e8 in the clean fit
         rng = np.random.default_rng(6)
@@ -217,13 +208,13 @@ class TestRefit:
         rows = rng.choice(500, size=25, replace=False)
         y[rows] += 1e8 * rng.choice([-1.0, 1.0], size=25)
         sol = app_bem(a, y, LoireConfig())
-        assert sol.support == tuple(sorted(rows)) and fallbacks == []
+        assert sol.support == tuple(sorted(rows)) and clean_factorizations == []
         clean = np.ones(500, dtype=bool)
         clean[rows] = False
         x = least_squares_solve(a[clean], y[clean])
         assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
-    def test_predictor_only_on_flagged_rows_gets_coefficient_zero(self, fallbacks):
+    def test_predictor_only_on_flagged_rows_gets_coefficient_zero(self, clean_factorizations):
         # z is nonzero only on rows 6 and 21, whose gross outliers have
         # opposite signs, so stage 1 flags both (on one row alone z would fit
         # it exactly); with z = 0 on every clean row, U_cᵀU_c is singular
@@ -235,7 +226,7 @@ class TestRefit:
         y = 1 + 2.5 * t + rng.normal(0, 0.1, 40)
         y[[6, 12, 21]] += [30.0, 40.0, -25.0]
         sol = app_bem(a, y, LoireConfig())
-        assert sol.support == (6, 12, 21) and fallbacks == [(37, 3)]
+        assert sol.support == (6, 12, 21) and clean_factorizations == [(37, 3)]
         clean = np.ones(40, dtype=bool)
         clean[[6, 12, 21]] = False
         assert np.array_equal(sol.x, least_squares_solve(a[clean], y[clean]))
@@ -244,20 +235,20 @@ class TestRefit:
                                                 sol.loire.objective_trace,
                                                 sol.loire.iterations) == []
 
-    def test_rank_deficient_a_gets_the_minimum_norm_fit(self, fallbacks):
+    def test_rank_deficient_a_gets_the_minimum_norm_fit(self, clean_factorizations):
         rng = np.random.default_rng(3)
         t = rng.normal(size=30)
         a = np.column_stack([np.ones(30), t, t])
         y = 1.0 + 2.0 * t + 0.01 * rng.normal(size=30)
         y[[5, 17]] += [15.0, -20.0]
         sol = app_bem(a, y, LoireConfig())
-        assert sol.support == (5, 17) and fallbacks == [(28, 3)]
+        assert sol.support == (5, 17) and clean_factorizations == [(28, 3)]
         clean = np.ones(30, dtype=bool)
         clean[[5, 17]] = False
         assert np.array_equal(sol.x, least_squares_solve(a[clean], y[clean]))
         assert sol.x[1] == pytest.approx(sol.x[2], rel=1e-12)  # the split of least norm
 
-    def test_finish_rows_left_unflagged_are_not_set_apart(self, fallbacks):
+    def test_finish_rows_left_unflagged_are_not_set_apart(self, clean_factorizations):
         # rows 5 and 17 sit at residuals tau + 20 and tau + 1e-8 (tau = 1)
         # from the minimizer for that outlier set, whose x does not depend on
         # y_5 and y_17: the finish certifies both, but row 17's b is under
@@ -274,16 +265,16 @@ class TestRefit:
         y[[5, 17]] = a_o @ x + [21.0, 1.0 + 1e-8]
         sol = app_bem(a, y, LoireConfig(lam=1.0))
         assert sol.loire.converged and np.count_nonzero(sol.loire.b) == 2
-        assert sol.support == (5,) and fallbacks == []
+        assert sol.support == (5,) and clean_factorizations == []
         clean[17] = True
         x = least_squares_solve(a[clean], y[clean])
         assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
-    def test_no_clean_row_gives_x_zero(self, fallbacks):
+    def test_no_clean_row_gives_x_zero(self, clean_factorizations):
         a = np.random.default_rng(2).normal(size=(4, 2))
         solve, exact = linalg.clean_solve(a, range_factors(a), np.arange(4))
         assert np.array_equal(solve(np.arange(4.0)), np.zeros(2)) and not exact
-        assert fallbacks == []
+        assert clean_factorizations == []
 
 
 class TestOracle:

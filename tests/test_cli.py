@@ -586,9 +586,10 @@ REGRESS = ["regress", "d.csv", "--target", "y"]
     ({"d.csv": b"x,y,y\n1,2,3\n"}, REGRESS, 2, "d.csv: column 'y' repeated in header"),
     ({}, ["simulate", "--n", ","], 1, "--n must name at least one dimension"),
     ({}, ["simulate", "--num-seeds", "0"], 1, "--num-seeds must be at least 1"),
+    ({"d.csv": b"x,y\n1,\xff\n"}, REGRESS, 2, "d.csv: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["rank-above-frames", "short-row", "empty-file", "header-only", "unreadable",
         "unknown-method", "empty-method", "repeated-method", "repeated-column", "empty-n",
-        "zero-seeds"])
+        "zero-seeds", "not-utf-8"])
 def test_error_exit(tmp_path, capsys, monkeypatch, files, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():
@@ -598,6 +599,32 @@ def test_error_exit(tmp_path, capsys, monkeypatch, files, argv, code, message):
     assert err.startswith("loire: error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+# An OSError met after the settings are checked: --out naming a file, which
+# each command meets only after its solve, and a frame glob matching a
+# directory.  Each case: files written first, arguments, message
+@pytest.mark.parametrize("files, argv, message", [
+    ({"d.csv": b"x,y\n1,2\n2,4\n3,7\n", "out": b""}, REGRESS + ["--out", "out"],
+     "[Errno 17] File exists: 'out'"),
+    ({"out": b""}, ["simulate", "--n", "10", "--out", "out"], "[Errno 17] File exists: 'out'"),
+    ({"f0.pgm": PGM_2X2, "f1.pgm": PGM_2X2, "out": b""}, ["bgmodel", "*.pgm", "--out", "out"],
+     "[Errno 17] File exists: 'out'"),
+    ({"d.pgm": None, "f0.pgm": PGM_2X2, "f1.pgm": PGM_2X2}, ["bgmodel", "*.pgm", "--out", "out"],
+     "[Errno 21] Is a directory: 'd.pgm'"),
+], ids=["regress-out-is-a-file", "simulate-out-is-a-file", "bgmodel-out-is-a-file",
+        "bgmodel-frame-is-a-directory"])
+def test_os_error_is_data_error(tmp_path, capsys, monkeypatch, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        if data is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(data)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("loire: error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_module_entry_reports_a_bad_setting_without_a_traceback(tmp_path):

@@ -1,12 +1,13 @@
 """The exact finish of LOIRE regression.
 
-Once a step leaves the outlier rows O = {b != 0} as the step before did, the
-solve tries the minimizer of Huber's loss at tau = 1/lam for those rows and
-signs, one `linalg.clean_solve` of the clean rows (a downdate of the factors
-of A, or a fresh factorization of the clean rows where the downdate would
-lose digits).  It takes that solve only when `clean_solve` calls it exact,
-the clean rows keeping every direction of A, and stops on it only when the
-certificate |r_C| <= tau, s_O r_O >= tau holds for r = y - A x.
+After every step but the first that misses tol, the solve tries the
+minimizer of Huber's loss at tau = 1/lam for the step's outlier rows
+O = {b != 0} and signs, one `linalg.clean_solve` of the clean rows (a
+downdate of the factors of A, or a fresh factorization of the clean rows
+where the downdate would lose digits), kept while O stays as it was.  It
+takes that solve only when `clean_solve` calls it exact, the clean rows
+keeping every direction of A, and stops on it only when the certificate
+|r_C| <= tau, s_O r_O >= tau holds for r = y - A x.
 """
 
 import tracemalloc
@@ -19,15 +20,6 @@ from loire import (LoireConfig, app_bem, default_lambda, least_squares_solve, li
 from oracles import loire_objective, loire_plain_alternation
 from test_bernoulli import _perfbench_workloads
 from test_regression import LOOP_CASES, _loop_case
-
-
-@pytest.fixture
-def clean_factorizations(monkeypatch):
-    """The shapes of the clean-row matrices `clean_solve` factors afresh."""
-    shapes = []
-    real = linalg.range_factors
-    monkeypatch.setattr(linalg, "range_factors", lambda a: shapes.append(np.shape(a)) or real(a))
-    return shapes
 
 
 @pytest.fixture
