@@ -221,7 +221,7 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
     elif method == "lad":
         run = baseline_lad(a, y, max_iter=cfg.max_iter)
         x, b, gap = run.x, run.b, run.gap
-        target = f"a vertex its dual proves optimal (relative duality gap {gap:.3g})"
+        target = f"a vertex its dual proves optimal; (f - f*)/f <= {gap:.3g}"
         support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
@@ -384,22 +384,17 @@ def cmd_version(args) -> int:
     return EXIT_OK
 
 
-def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None or args.command == "help":
-        parser.print_help()
-        return EXIT_OK
-    # argparse admits only the commands build_parser defines
-    commands = {"regress": cmd_regress, "simulate": cmd_simulate, "bgmodel": cmd_bgmodel,
-                "version": cmd_version}
-    return commands[args.command](args)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = build_parser()
     try:
-        return run(argv)
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args.command is None or args.command == "help":
+            parser.print_help()
+            return EXIT_OK
+        # argparse admits only the commands build_parser defines
+        commands = {"regress": cmd_regress, "simulate": cmd_simulate, "bgmodel": cmd_bgmodel,
+                    "version": cmd_version}
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,12 +45,12 @@ class FactorizationConfig:
 
 @dataclass
 class FactorizationSolution(ShrinkRun):
+    """A `ShrinkRun` with the last step's rank-r factors of Y - B: the m x r
+    a, with orthonormal columns, and the r x n x = aᵀ(Y - B), B the previous
+    iterate.  a @ x is the recovered low-rank part, and b = shrink(Y - a @ x)."""
+
     a: np.ndarray
     x: np.ndarray
-
-    def low_rank(self) -> np.ndarray:
-        """The recovered low-rank component A X."""
-        return self.a @ self.x
 
 
 def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:

@@ -111,8 +111,8 @@ def range_factors(a: np.ndarray):
     float (clear of the subnormal range), is factored from
     eigh(AᵀA) = V diag(w) Vᵀ: S = sqrt(w), U = A V S⁻¹, column-major (Golub &
     Van Loan, Matrix Computations, section 5.3).  Every other A takes a
-    Householder SVD; when it keeps every direction, svd's own arrays are
-    returned, as the boolean index would copy U.
+    Householder SVD, whose kept directions are its leading ones, as sigma
+    descends, so they are returned as slices and U is never copied.
     """
     if a.shape[0] >= a.shape[1]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -124,10 +124,8 @@ def range_factors(a: np.ndarray):
                 vt = np.ascontiguousarray(v[:, ::-1].T)
                 return ((vt / s[:, None]) @ a.T).T, s, vt  # U = A V S⁻¹, column-major
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > max(a.shape) * EPS * s[0]
-    if keep.all():
-        return u, s, vt
-    return u[:, keep], s[keep], vt[keep]
+    k = np.count_nonzero(s > max(a.shape) * EPS * s[0])
+    return u[:, :k], s[:k], vt[:k]
 
 
 def least_squares_solve(a, y) -> np.ndarray:

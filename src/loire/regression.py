@@ -39,6 +39,10 @@ class LoireConfig:
 
 @dataclass
 class LoireSolution(ShrinkRun):
+    """A `ShrinkRun` with the coefficients x: the minimum-norm least-squares
+    fit of y - b at the last step's previous b, so that b = shrink(y - A x),
+    or the exact minimizer the finish certified."""
+
     x: np.ndarray
 
 

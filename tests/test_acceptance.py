@@ -175,7 +175,7 @@ def test_criterion_6_exact_low_rank_recovery():
     inst = generate_sim(SimSpec(n=100, rank_frac=0.05, spike_density=0.05, seed=11))
     y = inst.l + inst.b_true  # no dense noise
     sol = rrf_solve(y, FactorizationConfig(rank=5, lam=1.0 / 0.003, max_iter=3000))
-    rel = np.linalg.norm(sol.low_rank() - inst.l) / np.linalg.norm(inst.l)
+    rel = np.linalg.norm(sol.a @ sol.x - inst.l) / np.linalg.norm(inst.l)
     print(f"  relative recovery error = {rel:.2e}")
     _report(6, "noiseless low-rank recovery", rel <= 1e-3)
 

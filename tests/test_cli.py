@@ -260,8 +260,8 @@ class TestRegress:
         capped = load_solution(tmp_path / "capped")["lad"]
         assert len(warnings) == 1 and "tol=" not in warnings[0]
         assert warnings[0] == ("loire: warning: regress method=lad: solve stopped at "
-                               "max_iter=1 without reaching a vertex its dual proves optimal "
-                               f"(relative duality gap {capped['gap']:.3g})")
+                               "max_iter=1 without reaching a vertex its dual proves optimal; "
+                               f"(f - f*)/f <= {capped['gap']:.3g}")
         assert not capped["converged"] and capped["gap"] > 1e-12
 
     def test_every_entry_has_a_gap_and_lad_its_trace(self, corrupted_fixture, tmp_path):
@@ -494,7 +494,7 @@ class TestBgmodel:
             stack = FrameStack.from_frames(read_pgm(p) for p in paths)
             assert (stack.matrix.size > linalg.BLOCK) == (case == "blocks")
             sol = rrf_solve(stack.matrix, FactorizationConfig(rank=2, lam=lam))
-            background = sol.low_rank()
+            background = sol.a @ sol.x
             fg = np.abs(sol.b)
             fg *= 255.0 / float(np.percentile(fg[fg > 0], 99.0))
             np.clip(fg, 0, 255, out=fg)

@@ -34,7 +34,7 @@ class TestSolver:
         y = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 7))
         sol = rrf_solve(y, FactorizationConfig(rank=2, lam=1e6))
         assert sol.iterations == 1 and sol.converged
-        assert np.linalg.norm(sol.low_rank() - y) <= 1e-8 * np.linalg.norm(y)
+        assert np.linalg.norm(sol.a @ sol.x - y) <= 1e-8 * np.linalg.norm(y)
         np.testing.assert_allclose(sol.b, np.zeros_like(y))
 
     def test_zero_matrix(self):
@@ -49,7 +49,7 @@ class TestSolver:
         sol = rrf_solve(y, FactorizationConfig(rank=3, lam=0.5, max_iter=50))
         np.testing.assert_allclose(np.linalg.norm(sol.a, axis=0), np.ones(3),
                                    atol=1e-8)
-        assert np.linalg.matrix_rank(sol.low_rank()) <= 3
+        assert np.linalg.matrix_rank(sol.a @ sol.x) <= 3
 
     def test_per_iteration_descent(self):
         for seed in range(1, 11):
@@ -78,7 +78,7 @@ class TestSolver:
             y = rng.normal(size=(m, n))
             sol = rrf_solve(y, FactorizationConfig(rank=r, lam=1.0, max_iter=1))
             # first iteration factors Y - B_0 with B_0 = 0
-            err = np.linalg.norm(y - sol.low_rank())
+            err = np.linalg.norm(y - sol.a @ sol.x)
             sv = singular_values_bruteforce(y)
             assert abs(err - np.sqrt(np.sum(sv[r:] ** 2))) \
                 <= 1e-8 * (1 + np.linalg.norm(y))
@@ -89,7 +89,7 @@ class TestSolver:
         y = rng.normal(size=(12, 10)) * 3
         lam = 0.8
         sol = rrf_solve(y, FactorizationConfig(rank=2, lam=lam, max_iter=40))
-        resid = y - sol.low_rank()
+        resid = y - sol.a @ sol.x
         grid = np.linspace(-20, 20, 40001)
         idx = rng.integers(0, 12, size=50), rng.integers(0, 10, size=50)
         for v, z in zip(resid[idx], sol.b[idx]):
@@ -206,7 +206,7 @@ class TestFirstStep:
         sv = np.linalg.svd(y, compute_uv=False)
         for r in (1, 3, k // 4, k // 2, k - 2):
             sol = rrf_solve(y, FactorizationConfig(rank=r, lam=1.0, max_iter=1))
-            err = np.linalg.norm(y - sol.low_rank())
+            err = np.linalg.norm(y - sol.a @ sol.x)
             assert abs(err - np.sqrt(np.sum(sv[r:] ** 2))) <= 1e-12 * np.linalg.norm(y)
 
     @pytest.mark.parametrize("r", [1, 3, 10])
@@ -214,8 +214,8 @@ class TestFirstStep:
         # y is tall, y.T wide: the two Gram branches give the same first fit
         y = np.random.default_rng(8).normal(size=(300, 40))
         cfg = FactorizationConfig(rank=r, lam=1.0, max_iter=1)
-        np.testing.assert_allclose(rrf_solve(y.T, cfg).low_rank(),
-                                   rrf_solve(y, cfg).low_rank().T,
+        wide, tall = rrf_solve(y.T, cfg), rrf_solve(y, cfg)
+        np.testing.assert_allclose(wide.a @ wide.x, (tall.a @ tall.x).T,
                                    rtol=0, atol=1e-12 * np.linalg.norm(y))
 
     def test_no_full_size_svd(self, eigh_calls):
@@ -250,11 +250,12 @@ class TestRitzRoutes:
             y = _corrupted_low_rank(seed, m, n, r)
             cfg = FactorizationConfig(rank=r, lam=1.0, max_iter=80)
             with counting_svd() as shapes:
-                eigh_fit = rrf_solve(y, cfg).low_rank()
+                eigh_sol = rrf_solve(y, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(factorization, "RITZ_FLOOR", np.inf)  # the SVD every step
-                svd_fit = rrf_solve(y, cfg).low_rank()
+                svd_sol = rrf_solve(y, cfg)
             assert shapes == []
+            eigh_fit, svd_fit = eigh_sol.a @ eigh_sol.x, svd_sol.a @ svd_sol.x
             assert np.linalg.norm(eigh_fit - svd_fit) <= 1e-12 * np.linalg.norm(y)
 
 
@@ -279,7 +280,7 @@ class TestAgainstRobustPca:
                 t0 = time.perf_counter()
                 low, ialm_iters, ialm_rank = ialm_rpca(inst.y)
                 ialm_s = time.perf_counter() - t0
-            rrf_f = threshold_ceiling(inst.y - sol.low_rank(), spikes)[0]
+            rrf_f = threshold_ceiling(inst.y - sol.a @ sol.x, spikes)[0]
             ialm_f = threshold_ceiling(inst.y - low, spikes)[0]
             print(f"{seed:4d}  rrf     {rrf_s:6.3f}  {sol.iterations:10d}  {spec.rank:4d}  "
                   f"{rrf_f:.4f}")

@@ -131,16 +131,18 @@ class TestShrinkSweep:
             assert np.array_equal(got, want)
         np.testing.assert_allclose(blocked[4], whole[4], rtol=1e-12, atol=0.0)
 
-    def test_rrf_solve_holds_two_full_size_arrays(self):
+    @pytest.mark.parametrize("lam", [0.5, None])
+    def test_rrf_solve_holds_two_full_size_arrays(self, lam):
         # b and the residual besides y, one block of scratch, and the rank-1
         # step's m-vectors and 100 x 100 start Gram within the 10% slack.
         # A tall input like a frame stack: a square one's Gram start alone
-        # holds two arrays of y's size
+        # holds two arrays of y's size.  lam=None also bounds the first
+        # step's medians, which take b's buffer
         y = _low_rank_plus_spikes(1600, 100, 2)
         assert y.size > linalg.BLOCK
         tracemalloc.start()
         try:
-            sol = rrf_solve(y, FactorizationConfig(rank=1, lam=0.5, max_iter=20))
+            sol = rrf_solve(y, FactorizationConfig(rank=1, lam=lam, max_iter=20))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

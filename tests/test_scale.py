@@ -97,7 +97,7 @@ class TestScaleEquivariance:
         assume(base.converged)  # a few instances need more than max_iter steps
         scaled = rrf_solve(s * y, FactorizationConfig(rank=r, tol=s * tol))
         assert scaled.converged
-        assert _close(scaled.low_rank(), base.low_rank(), s) and _close(scaled.b, base.b, s)
+        assert _close(scaled.a @ scaled.x, base.a @ base.x, s) and _close(scaled.b, base.b, s)
         assert np.array_equal(detect_support(scaled.b, default_zero_tol(s * y)),
                               detect_support(base.b, default_zero_tol(y)))
 
@@ -109,9 +109,9 @@ class TestScaleEquivariance:
         y = np.random.default_rng(51).normal(size=(300, 40))
         cfg = FactorizationConfig(rank=3, lam=1.0, max_iter=1)
         for mat in (y, y.T):
-            fit = np.linalg.norm(mat - rrf_solve(mat, cfg).low_rank())
-            scaled = rrf_solve(s * mat, cfg).low_rank()
-            assert np.linalg.norm(mat - scaled / s) == pytest.approx(fit, rel=1e-12)
+            base, scaled = rrf_solve(mat, cfg), rrf_solve(s * mat, cfg)
+            fit = np.linalg.norm(mat - base.a @ base.x)
+            assert np.linalg.norm(mat - scaled.a @ scaled.x / s) == pytest.approx(fit, rel=1e-12)
 
     @settings(deadline=None)
     @given(SEEDS, POWERS)
