@@ -124,15 +124,16 @@ class LadSolution:
 BASIS_CUT, EDGE_CUT, DUAL_TOL, ZERO_TOL = 1e-6, 1e-9, 1e-10, 1e-12
 
 
-def _start_basis(u: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The first k rows in *order* whose rows of the m x k *u* are independent
-    (Gram-Schmidt, projected twice, against BASIS_CUT)."""
-    q = np.empty((0, u.shape[1]))  # orthonormal rows spanning the U-rows taken
+def _start_basis(base: np.ndarray, mix: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The first k rows in *order* whose rows base[i] @ mix of U are
+    independent (Gram-Schmidt, projected twice, against BASIS_CUT)."""
+    q = np.empty((0, mix.shape[1]))  # orthonormal rows spanning the U-rows taken
     basis = []
     for i in order:
-        if len(basis) == u.shape[1]:
+        if len(basis) == mix.shape[1]:
             break
-        v = u[i] - (q @ u[i]) @ q
+        u_i = base[i] @ mix
+        v = u_i - (q @ u_i) @ q
         v -= (q @ v) @ q
         norm = math.sqrt(float(v @ v))
         if norm > BASIS_CUT:
@@ -157,19 +158,20 @@ def _breakpoints(t: np.ndarray, rows: np.ndarray, w: np.ndarray, need: float) ->
 
 
 def _vertex(a: np.ndarray, y: np.ndarray, factors, basis: np.ndarray) -> np.ndarray:
-    """V S⁻¹ U_B⁻¹ y_B on the `range_factors` of *a*, the x fitting the rows of
-    *basis*, refined once on A_B x = y_B so that U's rounding does not show."""
-    u, sig, vt = factors
-    ub = u[basis]
-    x = vt.T @ (np.linalg.solve(ub, y[basis]) / sig)
-    x += vt.T @ (np.linalg.solve(ub, y[basis] - a[basis] @ x) / sig)
+    """x = V S⁻¹ U_B⁻¹ y_B, U_B the rows *basis* of U = base @ mix, fitting
+    those rows, refined once on A_B x = y_B so that U's rounding does not show."""
+    base, mix, vs_inv = factors
+    ub = base[basis] @ mix
+    x = vs_inv @ np.linalg.solve(ub, y[basis])
+    x += vs_inv @ np.linalg.solve(ub, y[basis] - a[basis] @ x)
     return x
 
 
 def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
     """min_x ||y - A x||_1, exact, by edge descent over the LP's vertices
     (Barrodale & Roberts 1973), on the `range_factors` A = U S Vᵀ with
-    x = V S⁻¹ z, so a rank-deficient A needs no special case.
+    x = V S⁻¹ z and U applied as base @ mix, so a rank-deficient A needs no
+    special case.
 
     A vertex fits a basis B of k rows, at first the rows of least |r| at the
     least-squares fit.  A row outside B has the sign s of its residual (+-1
@@ -187,10 +189,9 @@ def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
     check_solver_settings(None, None, max_iter)
     a, y = as_system(a, y)
     data_norm(y)  # every solve refuses y whose ||y||^2 over- or underflows
-    factors = range_factors(a)
-    u = factors[0]
-    r = y - u @ (u.T @ y)  # the least-squares residual
-    basis = _start_basis(u, np.argsort(np.abs(r), kind="stable"))
+    factors = base, mix, _ = range_factors(a)
+    r = y - base @ (mix @ (mix.T @ (base.T @ y)))  # the least-squares residual
+    basis = _start_basis(base, mix, np.argsort(np.abs(r), kind="stable"))
     s = np.ones(y.shape, np.int8)  # signs, held in a byte each
     s[r < 0.0] = -1  # the least-squares side, kept by a row the vertex fits exactly
     w, scratch = np.empty_like(y), np.empty_like(y)
@@ -200,10 +201,10 @@ def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
     s[r > 0.0] = 1
     s[r < 0.0] = -1
     s[basis], r[basis] = 0, 0.0
-    g = u.T @ s  # U_Nᵀ s_N, kept current as rows change sides and signs
+    g = mix.T @ (base.T @ s)  # U_Nᵀ s_N, kept current as rows change sides and signs
     trace, step, converged = [], None, False
     while True:
-        inv = np.linalg.inv(u[basis])
+        inv = np.linalg.inv(base[basis] @ mix)
         zero = ZERO_TOL * float(np.linalg.norm(inv @ y[basis]))  # ||A x||_2 = ||z||
         r[np.abs(r, out=scratch) <= zero] = 0.0  # fit exactly, but for rounding
         trace.append(float(scratch.sum()))
@@ -218,7 +219,7 @@ def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
         j = np.flatnonzero(over)[np.argmin(basis[over])] if bland else np.argmax(np.abs(d))
         sigma = -math.copysign(1.0, d[j])
         delta = sigma * inv[:, j]
-        np.multiply(s, np.matmul(u, delta, out=w), out=scratch)
+        np.multiply(s, np.matmul(base, mix @ delta, out=w), out=scratch)
         rows = np.flatnonzero(scratch > EDGE_CUT * float(np.abs(delta).max()))
         if not rows.size:  # |d_j| - 1 is rounding: no edge descends
             break
@@ -227,11 +228,11 @@ def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
         path = _breakpoints(t, rows, w, 0.5 * (abs(d[j]) - 1.0))
         enter, passed, step = rows[path[-1]], rows[path[:-1]], t[path[-1]]
         r -= np.multiply(w, step, out=scratch)
-        g -= 2.0 * (u[passed].T @ s[passed]) + s[enter] * u[enter]
+        g -= mix.T @ (2.0 * (base[passed].T @ s[passed]) + s[enter] * base[enter])
         s[passed] *= -1
         leave, basis[j] = basis[j], enter
         s[enter], s[leave] = 0, -sigma
-        g -= sigma * u[leave]
+        g -= sigma * (base[leave] @ mix)
         r[basis] = 0.0
     x = _vertex(a, y, factors, basis)
     b = np.subtract(y, np.matmul(a, x, out=r), out=r)
@@ -239,6 +240,6 @@ def baseline_lad(a, y, max_iter: int = LoireConfig.max_iter) -> LadSolution:
     scratch[scratch <= zero] = 0.0
     f = float(scratch.sum())
     np.copyto(w, s)  # the dual off the basis, as floats
-    d = -(inv.T @ (u.T @ w))
+    d = -(inv.T @ (mix.T @ (base.T @ w)))
     yd = (float(y @ w) + float(y[basis] @ d)) / max(1.0, float(np.abs(d).max(initial=0.0)))
     return LadSolution(x, b, trace, len(trace), converged, (f - yd) / f if f > 0.0 else 0.0)

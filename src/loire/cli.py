@@ -233,7 +233,9 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
             t_radius = args.radius
         else:
             ref = app_bem(a, y, cfg, zero_tol)
-            t_radius = 1.05 * float(np.linalg.norm(y - a @ ref.x - ref.b)) + 1e-12
+            # the floor keeps an exact fit feasible and scales with the data
+            t_radius = (1.05 * float(np.linalg.norm(y - a @ ref.x - ref.b))
+                        + 1e-12 * float(np.linalg.norm(y)))
         sol = bernoulli_oracle(a, y, OracleConfig(t=t_radius, max_support=max_support))
         x, b, support = sol.x, sol.b, list(sol.support)
     if run is not None:

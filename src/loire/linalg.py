@@ -85,7 +85,7 @@ def data_norm(y: np.ndarray) -> float:
     """
     flat = y.ravel(order="K")  # a view of a validated array
     with np.errstate(over="ignore", under="ignore"):
-        sq = float(np.dot(flat, flat))
+        sq = float(np.einsum("i,i->", flat, flat))  # not BLAS: one sum for any thread count
     if not math.isfinite(sq) or (sq < TINY and flat.any()):
         raise ValueError(f"||y||^2 = {sq!r}: float64 overflow or underflow; rescale the data")
     return math.sqrt(sq)
@@ -100,19 +100,19 @@ GRAM_FLOOR = 1e-2
 
 
 def range_factors(a: np.ndarray):
-    """The thin SVD A = U S Vᵀ cut to the numerical range of *a*: the one
-    rank rule of every least-squares fit.
+    """The thin SVD A = U S Vᵀ cut to the numerical range of *a*, as
+    (base, mix, vs_inv) with U = base @ mix and vs_inv = V S⁻¹: the one rank
+    rule of every least-squares fit.
 
     Directions with singular value at most max(m, n) * eps * sigma_max are
-    dropped.  Returns (u_r, sigma_r, vt_r), sigma_r descending; A has full
-    column rank when sigma_r has n entries.  Two routes give these factors.
-    A tall A (m >= n) whose Gram matrix AᵀA is finite, with eigenvalues
-    w_min > GRAM_FLOOR * w_max and w_min * eps at least the least normal
-    float (clear of the subnormal range), is factored from
-    eigh(AᵀA) = V diag(w) Vᵀ: S = sqrt(w), U = A V S⁻¹, column-major (Golub &
-    Van Loan, Matrix Computations, section 5.3).  Every other A takes a
-    Householder SVD, whose kept directions are its leading ones, as sigma
-    descends, so they are returned as slices and U is never copied.
+    dropped; A has full column rank when vs_inv has n columns.  A tall A
+    (m >= n) whose Gram matrix AᵀA is finite, with eigenvalues w_min >
+    GRAM_FLOOR * w_max and w_min * eps at least the least normal float, is
+    factored from eigh(AᵀA) = V diag(w) Vᵀ: U = A V S⁻¹ for S = sqrt(w), so
+    base is *a* and mix = vs_inv, and U is never formed (Golub & Van Loan,
+    Matrix Computations, section 5.3).  Every other A takes a Householder
+    SVD, whose kept directions lead, as sigma descends: base = U_k, a
+    slice, and mix = I_k.
     """
     if a.shape[0] >= a.shape[1]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -120,20 +120,19 @@ def range_factors(a: np.ndarray):
         if np.isfinite(gram).all():  # eigh raises on inf or nan
             w, v = np.linalg.eigh(gram)  # ascending
             if w[0] * EPS >= TINY and w[0] > GRAM_FLOOR * w[-1]:
-                s = np.sqrt(w[::-1])
-                vt = np.ascontiguousarray(v[:, ::-1].T)
-                return ((vt / s[:, None]) @ a.T).T, s, vt  # U = A V S⁻¹, column-major
+                vs_inv = v[:, ::-1] / np.sqrt(w[::-1])
+                return a, vs_inv, vs_inv
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     k = np.count_nonzero(s > max(a.shape) * EPS * s[0])
-    return u[:, :k], s[:k], vt[:k]
+    return u[:, :k], np.eye(k), vt[:k].T / s[:k]
 
 
 def least_squares_solve(a, y) -> np.ndarray:
     """Minimum-norm x minimizing ||y - A x||_2: x = V S⁻¹ Uᵀ y on the
     `range_factors` of A, the Moore-Penrose solution when A is rank-deficient."""
     a, y = as_system(a, y)
-    u, s, vt = range_factors(a)
-    return vt.T @ ((u.T @ y) / s)
+    base, mix, vs_inv = range_factors(a)
+    return vs_inv @ (mix.T @ (base.T @ y))
 
 
 # the least lambda_min(G), G = U_cᵀU_c = I - U_oᵀU_o, at which a solve on the
@@ -141,59 +140,51 @@ def least_squares_solve(a, y) -> np.ndarray:
 # is then within 2x of a fresh solve's eps cond(A) / sqrt(lambda_min)
 REFIT_FLOOR = 0.25
 
-# entries of U per gathered chunk of the rows a downdate sets apart, so that
-# U_oᵀU_o takes 32 kB of temporaries however many rows are set apart
-GATHER = 1 << 12
-
 
 def clean_solve(a: np.ndarray, factors, rows: np.ndarray):
     """The fit of A's clean rows c, all but *rows* (ascending indices), for
-    A and its `range_factors` U S Vᵀ: returns (solve, exact).
+    A and its `range_factors`, U = base @ mix: returns (solve, exact).
 
     solve(z), for a length-m z, is x = (A_cᵀA_c)⁻¹ Aᵀz when *exact*, that is
     when A_c has full column rank; with z = y on the clean rows and 0 on
     *rows* it is the least-squares fit of the clean rows, minimum-norm when
     A_c is rank-deficient, as `least_squares_solve` forms it.  A full-rank A
     whose lambda_min(G) >= REFIT_FLOOR is downdated: one n x n
-    eigh(U_oᵀU_o) = Q sigma² Qᵀ, summed over chunks of GATHER entries of U_o,
-    gives lambda_min(G) = 1 - sigma_max² and G⁻¹ = I + Q (sigma² / (1 -
-    sigma²)) Qᵀ without an SVD of U_o (Golub & Van Loan, Matrix Computations,
-    section 6.5), and x = V S⁻¹ G⁻¹ Uᵀz.  Otherwise, as when the rows carry
-    most of a direction of A, A_c = U_c S_c V_cᵀ is factored afresh and
-    x = V_c S_c⁻¹ (U_cᵀ z_c + S_c⁻¹ V_cᵀ A_oᵀ z_o); x = 0 when no row is clean.
+    eigh(U_oᵀU_o) = Q sigma² Qᵀ gives lambda_min(G) = 1 - sigma_max² and
+    G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ without an SVD of U_o (Golub &
+    Van Loan, Matrix Computations, section 6.5), and x = V S⁻¹ G⁻¹ Uᵀz.
+    Otherwise, as when the rows carry most of a direction of A, A_c is
+    factored afresh, column-major as `least_squares_solve` factors it, and
+    x = W_c (U_cᵀ z_c + W_cᵀ A_oᵀ z_o), W_c = V_c S_c⁻¹; x = 0 when no row
+    is clean.
     """
-    u, s, vt = factors
+    base, mix, vs_inv = factors
     n = a.shape[1]
-    if s.size == n:
-        step = max(1, GATHER // n)
-        uo = u[rows[:step]]
-        gram = uo.T @ uo
-        for lo in range(step, rows.size, step):
-            uo = u[rows[lo:lo + step]]
-            gram += uo.T @ uo
-        sq, q = np.linalg.eigh(gram)  # ascending
+    if vs_inv.shape[1] == n:
+        u_o = base[rows] @ mix
+        sq, q = np.linalg.eigh(u_o.T @ u_o)  # ascending
         if 1.0 - sq[-1] >= REFIT_FLOOR:
             gain = sq / (1.0 - sq)
 
             def solve(z):
-                coef = u.T @ z
+                coef = mix.T @ (base.T @ z)
                 coef += q @ (gain * (q.T @ coef))
-                return vt.T @ (coef / s)
+                return vs_inv @ coef
 
             return solve, True
     if rows.size == a.shape[0]:
         return (lambda z: np.zeros(n)), False
     clean = np.ones(a.shape[0], dtype=bool)
     clean[rows] = False
-    u_c, s_c, vt_c = range_factors(a[clean])
+    base_c, mix_c, vs_inv_c = range_factors(np.asfortranarray(a[clean]))
     a_o = a[rows]
 
     def solve(z):
-        coef = u_c.T @ z[clean]
-        coef += (vt_c @ (a_o.T @ z[rows])) / s_c
-        return vt_c.T @ (coef / s_c)
+        coef = mix_c.T @ (base_c.T @ z[clean])
+        coef += vs_inv_c.T @ (a_o.T @ z[rows])
+        return vs_inv_c @ coef
 
-    return solve, s_c.size == n
+    return solve, vs_inv_c.shape[1] == n
 
 
 # 1/lam = MAD_NORMAL * max(MAD_C * median|r|, MAD_FLOOR * median|y - median(y)|)

@@ -75,11 +75,12 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
     """`loire_solve` on a system `as_system` validated.
 
     Factors A once (`range_factors`); the projector P(res) = A x, for the
-    minimum-norm fit x = V S⁻¹ Uᵀ res, leaves x in the solution.  Returns
-    the solution and *fit*: fit(rows) is the (solve, exact) of the
-    `clean_solve` of *rows* (ascending indices) on those factors, kept for
-    the last rows asked, so a caller that refits the rows the finish last
-    tried factors nothing again.
+    minimum-norm fit x = V S⁻¹ Uᵀ res with Uᵀ = mixᵀ baseᵀ (no m x n U on
+    the Gram route), leaves x in the solution.  Returns the solution and
+    *fit*: fit(rows) is the (solve, exact) of the `clean_solve` of *rows*
+    (ascending indices) on those factors, kept for the last rows asked, so
+    a caller that refits the rows the finish last tried factors nothing
+    again.
 
     Minimizing f(x, b) over b leaves Huber's loss of r = y - A x at
     tau = 1/lam (She & Owen, JASA 2011).  So once the loop's outlier rows O
@@ -93,8 +94,8 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
     A_c rank-deficient, as the normal equations may then have no solution,
     and at once, factoring nothing, when A is rank-deficient.
     """
-    factors = ur, sr, vr = range_factors(a)
-    coef = np.empty(sr.shape[0])
+    factors = base, mix, vs_inv = range_factors(a)
+    inner, coef = np.empty(base.shape[1]), np.empty(mix.shape[1])
     x = np.zeros(a.shape[1])
     last = None
 
@@ -105,13 +106,13 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
         return last[1:]
 
     def project(res):
-        np.matmul(ur.T, res, out=coef)
-        np.divide(coef, sr, out=coef)
-        np.matmul(vr.T, coef, out=x)
+        np.matmul(base.T, res, out=inner)
+        np.matmul(mix.T, inner, out=coef)
+        np.matmul(vs_inv, coef, out=x)
         np.matmul(a, x, out=res)
 
     def finish(b, res, tau):
-        if sr.size < a.shape[1]:
+        if vs_inv.shape[1] < a.shape[1]:
             return False
         rows = np.flatnonzero(b)
         solve, exact = fit(rows)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,3 +33,17 @@ def clean_factorizations(monkeypatch):
     real = linalg.range_factors
     monkeypatch.setattr(linalg, "range_factors", lambda a: shapes.append(np.shape(a)) or real(a))
     return shapes
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) calls fn() and returns its result and the peak of the
+    bytes tracemalloc traced meanwhile (numpy buffers included)."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

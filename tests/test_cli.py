@@ -642,6 +642,24 @@ def test_module_entry_reports_a_bad_setting_without_a_traceback(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # tol is REL_TOL * ||Y||_F, so ||Y||² must not be summed by BLAS, whose
+    # sum splits across threads and rounds differently at 1 and 2
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / threads
+        run = subprocess.run([sys.executable, "-m", "loire.cli", "simulate", "--n", "200",
+                              "--seed", "1", "--num-seeds", "5", "--max-iter", "1",
+                              "--timing", "none", "--out", str(out)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestMiscCommands:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

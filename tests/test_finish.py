@@ -10,13 +10,11 @@ keeping every direction of A, and stops on it only when the certificate
 |r_C| <= tau, s_O r_O >= tau holds for r = y - A x.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from loire import (LoireConfig, app_bem, default_lambda, least_squares_solve, linalg, loire_solve,
-                   regression)
+from loire import (LoireConfig, app_bem, baseline_lad, default_lambda, least_squares_solve, linalg,
+                   loire_solve, regression)
 from oracles import loire_objective, loire_plain_alternation
 from test_bernoulli import _perfbench_workloads
 from test_regression import LOOP_CASES, _loop_case
@@ -236,11 +234,9 @@ def test_one_step_takes_no_eigh_beyond_the_factorization(eigh_calls):
     assert eigh_calls == [(5, 5), (5, 5)]
 
 
-def test_finish_holds_no_new_full_size_array():
-    # the solve holds U (m x n) and, besides y, b, the residual and the
-    # scratch block (each of y's size here); the finish adds chunks of U_o
-    # and a few vectors of |O| = 5% of m entries, well under half a vector
-    # of y's size
+def _gross_case():
+    """A, y and the outlier rows: a 50000 x 20 Gaussian A, noise 0.1 and 5%
+    of the rows off by 5 to 20, one block of the shrink sweep."""
     rng = np.random.default_rng(0)
     m, n = 50000, 20
     assert m <= linalg.BLOCK
@@ -248,13 +244,29 @@ def test_finish_holds_no_new_full_size_array():
     y = a @ rng.normal(size=n) + 0.1 * rng.normal(size=m)
     rows = rng.random(m) < 0.05
     y[rows] += rng.choice([-1.0, 1.0], rows.sum()) * rng.uniform(5.0, 20.0, rows.sum())
+    return a, y, rows
+
+
+def test_finish_holds_no_new_full_size_array(traced_peak):
+    # the Gram route forms no U (m x n, 20 vectors of y's size here): besides
+    # y the solve holds b, the residual and the scratch block, each of y's
+    # size here, and the finish gathers A_o and U_o = A_o V S⁻¹ on the 5% of
+    # rows set apart, with a few vectors of |O| entries
+    a, y, rows = _gross_case()
     for solve in (lambda: loire_solve(a, y, LoireConfig()),
                   lambda: app_bem(a, y, LoireConfig()).loire):
-        tracemalloc.start()
-        try:
-            sol = solve()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sol, peak = traced_peak(solve)
         assert sol.converged and sol.iterations < 5
-        assert peak <= a.nbytes + 3.5 * y.nbytes
+        assert peak <= 3.5 * y.nbytes + 2 * a[rows].nbytes
+
+
+@pytest.mark.parametrize("method", ["lad", "ols"])
+def test_regression_baselines_hold_no_m_by_n_array(traced_peak, method):
+    # the peaks are A's validation mask (m x n bytes, 2.5 vectors of y's
+    # size here) and, for LAD, r, w, the scratch, the signs and the start's
+    # sort: 2.50 and 6.68 vectors of y's size, where an m x n float array
+    # alone is 20
+    a, y, _ = _gross_case()
+    solve, bound = {"lad": (baseline_lad, 8 * y.nbytes),
+                    "ols": (least_squares_solve, a.size + y.nbytes)}[method]
+    assert traced_peak(lambda: solve(a, y))[1] <= bound

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -132,7 +130,7 @@ class TestShrinkSweep:
         np.testing.assert_allclose(blocked[4], whole[4], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("lam", [0.5, None])
-    def test_rrf_solve_holds_two_full_size_arrays(self, lam):
+    def test_rrf_solve_holds_two_full_size_arrays(self, lam, traced_peak):
         # b and the residual besides y, one block of scratch, and the rank-1
         # step's m-vectors and 100 x 100 start Gram within the 10% slack.
         # A tall input like a frame stack: a square one's Gram start alone
@@ -140,12 +138,8 @@ class TestShrinkSweep:
         # step's medians, which take b's buffer
         y = _low_rank_plus_spikes(1600, 100, 2)
         assert y.size > linalg.BLOCK
-        tracemalloc.start()
-        try:
-            sol = rrf_solve(y, FactorizationConfig(rank=1, lam=lam, max_iter=20))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cfg = FactorizationConfig(rank=1, lam=lam, max_iter=20)
+        sol, peak = traced_peak(lambda: rrf_solve(y, cfg))
         assert sol.iterations > 1
         assert peak <= 1.1 * (2 * y.nbytes + linalg.BLOCK * y.itemsize)
 
@@ -165,15 +159,17 @@ class TestRangeFactors:
         a = _conditioned(*shape, kappa, seed=shape[0] + int(kappa))
         y = np.random.default_rng(1).normal(size=shape[0])
         with counting_svd() as shapes:
-            u, s, vt = linalg.range_factors(a)
+            base, mix, vs_inv = linalg.range_factors(a)
             x = least_squares_solve(a, y)
-        assert shapes == [] and s.size == shape[1] and u.flags.f_contiguous
+        assert shapes == [] and vs_inv.shape[1] == shape[1] and base is a
         u_svd, s_svd, vt_svd = np.linalg.svd(a, full_matrices=False)
         want = vt_svd.T @ ((u_svd.T @ y) / s_svd)
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-        np.testing.assert_allclose(s, s_svd, rtol=1e-13)
+        # the columns of V S⁻¹ have norms 1/sigma
+        np.testing.assert_allclose(1.0 / np.linalg.norm(vs_inv, axis=0), s_svd, rtol=1e-13)
+        u = base @ mix
         assert np.linalg.norm(u.T @ u - np.eye(shape[1]), 2) <= 1e-13
-        assert np.linalg.norm((u * s) @ vt - a, 2) <= 1e-13
+        assert np.linalg.norm(a @ vs_inv - u, 2) <= 1e-13
 
     @pytest.mark.parametrize("kappa, route", [(10.0 * (1 - 1e-6), []),
                                               (10.0 * (1 + 1e-6), [(300, 8)])])
@@ -182,15 +178,15 @@ class TestRangeFactors:
         # runs, and it keeps every direction
         a = _conditioned(300, 8, kappa, seed=3)
         with counting_svd() as shapes:
-            _, s, _ = linalg.range_factors(a)
-        assert shapes == route and s.size == 8
+            vs_inv = linalg.range_factors(a)[2]
+        assert shapes == route and vs_inv.shape[1] == 8
 
     @pytest.mark.parametrize("a", [np.column_stack([np.arange(6.0), np.ones(6), np.arange(6.0)]),
                                    np.ones((3, 5))], ids=["rank-deficient", "wide"])
     def test_other_matrices_take_the_svd(self, a):
         with counting_svd() as shapes:
-            _, s, _ = linalg.range_factors(a)
-        assert shapes == [a.shape] and s.size == np.linalg.matrix_rank(a)
+            vs_inv = linalg.range_factors(a)[2]
+        assert shapes == [a.shape] and vs_inv.shape[1] == np.linalg.matrix_rank(a)
 
     @pytest.mark.parametrize("route", ["gram", "svd"])
     def test_regression_meets_its_contracts_on_either_route(self, route):

@@ -5,6 +5,8 @@ for s = 10^k far outside [1e-6, 1e6]; degenerate shapes must give a finite
 lam and a clear error or a flagged result.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from loire import (FactorizationConfig, LoireConfig, SimSpec, app_bem, baseline_lad,
                    default_lambda, default_zero_tol,
                    detect_support, generate_sim, loire_solve, rrf_solve)
+from loire.cli import main as cli_main
 
 SEEDS = st.integers(0, 2**32 - 1)
 POWERS = st.integers(-150, 150)
@@ -127,6 +130,26 @@ class TestScaleEquivariance:
             assert _close(scaled.x, base.x, s)
         assert np.array_equal(scaled.x, s * base.x)
         assert scaled.objective_trace == [s * f for f in base.objective_trace]
+
+    @pytest.mark.parametrize("k", [0, -46])
+    def test_oracle_default_radius_scales_with_the_data(self, tmp_path, k):
+        # 12 points of a line with gross errors on rows 2 and 9.  The oracle's
+        # default radius, 1.05 times appBEM's residual norm plus a floor, must
+        # scale with the data: an absolute floor of 1e-12 outweighs the
+        # residual at 2^-46 and lets the empty support pass.  Powers of two
+        # write exactly to the CSV
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 10, 12)
+        y = 1 + 2.5 * x + rng.normal(0, 0.1, 12)
+        y[[2, 9]] += [40, -30]
+        path = tmp_path / "line.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["x", "y"], *zip(2.0 ** k * x, 2.0 ** k * y)])
+        out = tmp_path / "out"
+        assert cli_main(["regress", str(path), "--target", "y", "--intercept",
+                         "--method", "appbem,oracle", "--timing", "none", "--out", str(out)]) == 0
+        sols = {e["method"]: e for e in json.loads((out / "solution.json").read_text())["methods"]}
+        assert sols["appbem"]["support"] == sols["oracle"]["support"] == [2]
 
 
 class TestDegenerateInputs:
