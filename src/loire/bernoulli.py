@@ -73,18 +73,13 @@ def default_zero_tol(y) -> float:
 
 
 def _zero_tol(y: np.ndarray) -> float:
-    """`default_zero_tol` of a validated array."""
-    return ZERO_TOL_FRAC * float(np.max(np.abs(y)))
+    """`default_zero_tol` of a validated array, which it reads without writing |y|."""
+    return ZERO_TOL_FRAC * max(float(y.max()), -float(y.min()))
 
 
 def detect_support(b: np.ndarray, zero_tol: float) -> np.ndarray:
     """The support of a vector or matrix *b*: the boolean mask |b| > zero_tol."""
-    return _support(_as_data(b), check_zero_tol(zero_tol))
-
-
-def _support(b: np.ndarray, zero_tol: float) -> np.ndarray:
-    """`detect_support` of a validated array and a checked cutoff."""
-    return np.abs(b) > zero_tol
+    return np.abs(_as_data(b)) > check_zero_tol(zero_tol)
 
 
 def enumeration_count(m: int, max_support: int) -> int:
@@ -113,7 +108,7 @@ def app_bem(a, y, cfg: LoireConfig, zero_tol: float | None = None) -> BemSolutio
     a, y = as_system(a, y)
     zero_tol = _zero_tol(y) if zero_tol is None else check_zero_tol(zero_tol)
     stage1, fit = _loire_solve(a, y, cfg)
-    flagged = _support(stage1.b, zero_tol)
+    flagged = np.abs(stage1.b) > zero_tol
     if flagged.all():
         raise AllRowsOutliers("all rows flagged as outliers; estimation impossible")
     rows = np.flatnonzero(flagged)

@@ -5,9 +5,9 @@ coefficients X (one Rayleigh-Ritz step each iteration, started on the first
 from the Gram matrix of Y's shorter side and warm after that) with an
 elementwise shrinkage update for the sparse corruption B, minimizing
 ||B||_1 + (lam/2) ||Y - A X - B||_F^2.  Each Rayleigh-Ritz step takes its
-Ritz vectors from the eigh of a 2r x 2r Gram matrix, and falls back to the
-SVD of the 2r-row projection only when that Gram cannot resolve the kept
-directions (RITZ_FLOOR).
+Ritz vectors V_r from the eigh of a 2r x 2r Gram matrix, or from the SVD of
+the 2r-row projection P only when that Gram cannot resolve the kept
+directions (RITZ_FLOOR); X = V_rᵀ P on either route.
 """
 
 from __future__ import annotations
@@ -74,26 +74,28 @@ def _top_left_start(m_mat: np.ndarray, rank: int) -> np.ndarray:
 RITZ_FLOOR = EPS ** 0.5
 
 
-def _warm_rank_step(m_mat: np.ndarray, a_prev: np.ndarray, rank: int):
-    """Best rank-r factors of *m_mat* within span([A_prev, M Mᵀ A_prev]).
+def _warm_rank_step(m_mat: np.ndarray, a_prev: np.ndarray):
+    """Best rank-r factors of *m_mat* within span([A_prev, M Mᵀ A_prev]),
+    r the column count of A_prev.
 
     One step of Rayleigh-Ritz subspace iteration on the small projection
-    P = QᵀM: the top-r eigenvectors V_r of its 2r x 2r Gram matrix P Pᵀ,
-    descending, give A = Q V_r and X = V_rᵀ P = Aᵀ M, so A X is the
-    orthogonal projection of M onto an r-dimensional subspace of span(Q) and
-    A has orthonormal columns.  When the Gram cannot resolve the kept
-    directions, w_r <= RITZ_FLOOR * w_1, the thin SVD of P gives them
-    instead: A = Q U_s[:, :r] and X = sigma[:r] Vt[:r].  Since the span
-    contains A_prev, the fit is never worse than A_prev with its best X.
+    P = QᵀM: V_r, the top-r left singular vectors of P, descending, give
+    A = Q V_r and X = V_rᵀ P = Aᵀ M, so A X is the orthogonal projection of
+    M onto an r-dimensional subspace of span(Q) and A has orthonormal
+    columns.  V_r comes from the eigh of the 2r x 2r Gram matrix P Pᵀ, or
+    from the thin SVD of P when that Gram cannot resolve the kept
+    directions, w_r <= RITZ_FLOOR * w_1.  Since the span contains A_prev,
+    the fit is never worse than A_prev with its best X.
     """
+    rank = a_prev.shape[1]
     q, _ = np.linalg.qr(np.hstack([a_prev, m_mat @ (m_mat.T @ a_prev)]))
     p = q.T @ m_mat
     w, v = np.linalg.eigh(p @ p.T)  # eigenvalues ascending
     if w[-rank] > RITZ_FLOOR * w[-1]:
         v_r = v[:, :-rank - 1:-1]  # the top r, descending
-        return q @ v_r, v_r.T @ p
-    u_s, sigma, vt = np.linalg.svd(p, full_matrices=False)
-    return q @ u_s[:, :rank], sigma[:rank, None] * vt[:rank]
+    else:
+        v_r = np.linalg.svd(p, full_matrices=False)[0][:, :rank]
+    return q @ v_r, v_r.T @ p
 
 
 def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
@@ -119,7 +121,7 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
         nonlocal a_fac, x_fac
         if a_fac is None:
             a_fac = _top_left_start(res, cfg.rank)
-        a_fac, x_fac = _warm_rank_step(res, a_fac, cfg.rank)
+        a_fac, x_fac = _warm_rank_step(res, a_fac)
         # res <- A X, written through its transpose so BLAS fills it directly
         np.matmul(x_fac.T, a_fac.T, out=res.T)
 

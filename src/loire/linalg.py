@@ -154,9 +154,9 @@ def clean_solve(a: np.ndarray, factors, rows: np.ndarray):
     G⁻¹ = I + Q (sigma² / (1 - sigma²)) Qᵀ without an SVD of U_o (Golub &
     Van Loan, Matrix Computations, section 6.5), and x = V S⁻¹ G⁻¹ Uᵀz.
     Otherwise, as when the rows carry most of a direction of A, A_c is
-    factored afresh, column-major as `least_squares_solve` factors it, and
-    x = W_c (U_cᵀ z_c + W_cᵀ A_oᵀ z_o), W_c = V_c S_c⁻¹; x = 0 when no row
-    is clean.
+    gathered once, straight into column-major order, and factored afresh
+    as `least_squares_solve` factors A; x = W_c (U_cᵀ z_c + W_cᵀ A_oᵀ z_o),
+    W_c = V_c S_c⁻¹, and x = 0 when no row is clean.
     """
     base, mix, vs_inv = factors
     n = a.shape[1]
@@ -176,7 +176,7 @@ def clean_solve(a: np.ndarray, factors, rows: np.ndarray):
         return (lambda z: np.zeros(n)), False
     clean = np.ones(a.shape[0], dtype=bool)
     clean[rows] = False
-    base_c, mix_c, vs_inv_c = range_factors(np.asfortranarray(a[clean]))
+    base_c, mix_c, vs_inv_c = range_factors(a.T.compress(clean, axis=1).T)  # one column-major copy
     a_o = a[rows]
 
     def solve(z):
@@ -213,12 +213,12 @@ def _mad_lambda(y: np.ndarray, res: np.ndarray, scratch: np.ndarray) -> float:
     data.  A residual at rounding level, median|res| <= max(y.shape) * eps *
     max|y|, is an exact fit and counts as 0.  When both terms are 0 the
     threshold is MAD_NORMAL * MAD_FLOOR * max|y|, and lam = 1 when that is 0
-    too (y = 0) or 1/threshold overflows.  Every median is taken in
-    *scratch*, an array of y's layout that is overwritten.
+    too (y = 0) or 1/threshold overflows.  max|y| is read as
+    max(max y, -min y), and every median is taken in *scratch*, an array of
+    y's layout that is overwritten; no |y| is written.
     """
     flat = scratch.ravel(order="K")  # a view: scratch keeps y's layout
-    np.abs(y, out=scratch)
-    y_max = float(scratch.max())
+    y_max = max(float(y.max()), -float(y.min()))
     np.abs(res, out=scratch)
     r_med = _median(flat)
     spread = MAD_C * r_med if r_med > max(y.shape) * EPS * y_max else 0.0

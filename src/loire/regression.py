@@ -95,7 +95,6 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
     and at once, factoring nothing, when A is rank-deficient.
     """
     factors = base, mix, vs_inv = range_factors(a)
-    inner, coef = np.empty(base.shape[1]), np.empty(mix.shape[1])
     x = np.zeros(a.shape[1])
     last = None
 
@@ -106,9 +105,7 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
         return last[1:]
 
     def project(res):
-        np.matmul(base.T, res, out=inner)
-        np.matmul(mix.T, inner, out=coef)
-        np.matmul(vs_inv, coef, out=x)
+        np.matmul(vs_inv, mix.T @ (base.T @ res), out=x)
         np.matmul(a, x, out=res)
 
     def finish(b, res, tau):

@@ -289,3 +289,36 @@ class TestAgainstRobustPca:
             assert rrf_shapes == []
             assert ialm_shapes.count((200, 200)) >= 30
             assert rrf_f >= ialm_f - 0.02
+
+    def test_where_rrf_breaks_under_heavy_corruption(self):
+        # noiseless Y = L + spikes (rank 10, 200 x 200) at 10% and 20% of the
+        # entries; relative error ||L_hat - L||_F / ||L||_F of rrf at the
+        # default lambda and at criterion 6's lambda = 1/0.003, and of IALM.
+        # At 10% rrf recovers L to 2.1e-4 in 1939 steps; at 20% it stalls
+        # near 0.2 at the cap and is printed, not asserted.  IALM recovers
+        # L to 1e-7 at both with one full SVD per step.  Times are printed
+        print("\ndensity  method            time_s  iterations  rel_err")
+        for density, cap in [(0.10, 2500), (0.20, 2000)]:
+            spec = SimSpec(n=200, dense_noise_scale=0.0, spike_density=density, seed=1)
+            inst = generate_sim(spec)
+
+            def rel_err(low):
+                return np.linalg.norm(low - inst.l) / np.linalg.norm(inst.l)
+
+            for name, lam, max_iter in [("rrf default lam", None, 500),
+                                        ("rrf lam=1/0.003", 1.0 / 0.003, cap)]:
+                t0 = time.perf_counter()
+                sol = rrf_solve(inst.y, FactorizationConfig(rank=spec.rank, lam=lam,
+                                                            max_iter=max_iter))
+                err = rel_err(sol.a @ sol.x)
+                print(f"{density:7.2f}  {name:16s}  {time.perf_counter() - t0:6.3f}  "
+                      f"{sol.iterations:10d}  {err:.2e}")
+                if density == 0.10 and lam is not None:
+                    assert sol.converged and err <= 5e-4
+            with counting_svd() as shapes:
+                t0 = time.perf_counter()
+                low, iterations, _ = ialm_rpca(inst.y)
+                ialm_s = time.perf_counter() - t0
+            err = rel_err(low)
+            print(f"{density:7.2f}  {'ialm':16s}  {ialm_s:6.3f}  {iterations:10d}  {err:.2e}")
+            assert err <= 1e-6 and len(shapes) <= 40

@@ -172,6 +172,23 @@ def test_clean_rows_that_lose_a_direction_refuse():
     assert linalg.clean_solve(a, factors, np.array([40]))[1]
 
 
+def test_fresh_clean_fit_copies_the_clean_rows_once(clean_factorizations, traced_peak):
+    # 1000 of 50000 rows carry A's first direction (first column x200), so
+    # lambda_min(G) = 1 - sigma_max² = 0.0013 < REFIT_FLOOR and A_c is
+    # factored afresh: gathered once, column-major, it peaks at 1.08 A_c;
+    # a row-major gather copied to column-major peaks at 2.03
+    rng = np.random.default_rng(0)
+    m, n = 50000, 20
+    a = np.asfortranarray(rng.normal(size=(m, n)))
+    rows = np.sort(rng.choice(m, 1000, replace=False))
+    a[rows, 0] *= 200.0
+    factors = linalg.range_factors(a)
+    clean_factorizations.clear()
+    (_, exact), peak = traced_peak(lambda: linalg.clean_solve(a, factors, rows))
+    assert exact and clean_factorizations == [(m - rows.size, n)]
+    assert peak <= 1.25 * (m - rows.size) * n * a.itemsize
+
+
 def _indicator_case():
     """A line fit with an indicator column z, nonzero only on rows 40-42,
     whose gross errors are +40, -40, +40: while all three are flagged A_c

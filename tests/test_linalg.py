@@ -169,7 +169,9 @@ class TestRangeFactors:
         np.testing.assert_allclose(1.0 / np.linalg.norm(vs_inv, axis=0), s_svd, rtol=1e-13)
         u = base @ mix
         assert np.linalg.norm(u.T @ u - np.eye(shape[1]), 2) <= 1e-13
-        assert np.linalg.norm(a @ vs_inv - u, 2) <= 1e-13
+        # and V = (V S⁻¹) S, with S read from those norms, is orthogonal
+        v = vs_inv / np.linalg.norm(vs_inv, axis=0)
+        assert np.linalg.norm(v.T @ v - np.eye(shape[1]), 2) <= 1e-13
 
     @pytest.mark.parametrize("kappa, route", [(10.0 * (1 - 1e-6), []),
                                               (10.0 * (1 + 1e-6), [(300, 8)])])
