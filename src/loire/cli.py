@@ -23,7 +23,7 @@ from .benchmark import SimSpec, baseline_lad, compute_metrics, generate_sim
 from .bernoulli import (ZERO_TOL_FRAC, OracleConfig, app_bem, bernoulli_oracle,
                         default_zero_tol, detect_support, enumeration_count)
 from .factorization import FactorizationConfig, rrf_solve
-from .linalg import MAD_C, MAD_FLOOR, MAD_NORMAL, check_zero_tol, least_squares_solve
+from .linalg import MAD_C, MAD_FLOOR, MAD_NORMAL, as_matrix, check_zero_tol, least_squares_solve
 from .pgm import FrameStack, read_pgm, write_pgm
 from .regression import LoireConfig, loire_solve
 
@@ -138,7 +138,8 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # loadtxt only warns on no rows
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                      skiprows=reader.line_num, encoding="utf-8-sig")
             except (ValueError, UserWarning):
                 data = None
             if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
@@ -306,10 +307,11 @@ def cmd_simulate(args) -> int:
     for spec, cfg in zip(specs, cfgs):
         inst = generate_sim(spec)
         t0 = time.perf_counter()
-        sol = rrf_solve(inst.y, cfg)
+        y = as_matrix(inst.y)  # column-major once, for the solve and the zero-tol alike
+        sol = rrf_solve(y, cfg)
         wall = _wall(t0, args.timing)
         _warn_unconverged(sol, f"simulate N={spec.n} seed={spec.seed}")
-        zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(inst.y)
+        zero_tol = args.zero_tol if args.zero_tol is not None else default_zero_tol(y)
         metrics = compute_metrics(detect_support(sol.b, zero_tol), inst.true_support)
         rows.append({"method": "rrf", "N": str(spec.n), "seed": str(spec.seed),
                      "lambda": repr(sol.lam), "tol": repr(sol.tol),

@@ -110,20 +110,22 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     step's Ritz vectors are the top-r eigenvectors of the 2r x 2r Gram of the
     projection P = Qᵀ(Y - B), or the SVD of P where the r-th eigenvalue
     falls to RITZ_FLOOR times the first (`_warm_rank_step`).
-    Stops when ||B_{k+1} - B_k||_F drops to cfg.tol.
+    Stops when ||B_{k+1} - B_k||_F drops to cfg.tol.  The projector returns
+    the factors (A, X) and writes no A X: the loop forms A X tile by tile
+    (`linalg._shrink_project`), so besides Y it holds one array of Y's size,
+    Y - B, into which it writes B at the end.
     """
     y = as_matrix(y)
     if cfg.rank > min(y.shape):
         raise ValueError(f"rank={cfg.rank} out of range [1, {min(y.shape)}] for shape {y.shape}")
     a_fac = x_fac = None
 
-    def project(res):
+    def project(m_mat):
         nonlocal a_fac, x_fac
         if a_fac is None:
-            a_fac = _top_left_start(res, cfg.rank)
-        a_fac, x_fac = _warm_rank_step(res, a_fac)
-        # res <- A X, written through its transpose so BLAS fills it directly
-        np.matmul(x_fac.T, a_fac.T, out=res.T)
+            a_fac = _top_left_start(m_mat, cfg.rank)
+        a_fac, x_fac = _warm_rank_step(m_mat, a_fac)
+        return a_fac, x_fac
 
     run = _shrink_project(y, project, cfg)
     return FactorizationSolution(**vars(run), a=a_fac, x=x_fac)

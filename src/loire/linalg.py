@@ -204,27 +204,30 @@ def _median(flat: np.ndarray) -> float:
     return 0.5 * (float(flat[h - 1]) + float(flat[h]))
 
 
-def _mad_lambda(y: np.ndarray, res: np.ndarray, scratch: np.ndarray) -> float:
-    """The default penalty weight from the first residual *res* = y - P(y).
+def _mad_lambda(y: np.ndarray, factors, work: np.ndarray) -> float:
+    """The default penalty weight from the first residual r = y - P(y),
+    P(y) = left @ right for *factors* = (left, right), which `_residual`
+    forms in *work*, an array of y's layout that is overwritten.
 
-    The threshold 1/lam is MAD_NORMAL * max(MAD_C * median|res|,
+    The threshold 1/lam is MAD_NORMAL * max(MAD_C * median|r|,
     MAD_FLOOR * median|y - median(y)|): the uncentred median because the
     shrink thresholds about 0, the floor for noiseless or exactly fitted
-    data.  A residual at rounding level, median|res| <= max(y.shape) * eps *
+    data.  A residual at rounding level, median|r| <= max(y.shape) * eps *
     max|y|, is an exact fit and counts as 0.  When both terms are 0 the
     threshold is MAD_NORMAL * MAD_FLOOR * max|y|, and lam = 1 when that is 0
     too (y = 0) or 1/threshold overflows.  max|y| is read as
-    max(max y, -min y), and every median is taken in *scratch*, an array of
-    y's layout that is overwritten; no |y| is written.
+    max(max y, -min y), and every median is taken in *work*; no |y| is
+    written.
     """
-    flat = scratch.ravel(order="K")  # a view: scratch keeps y's layout
+    flat = work.ravel(order="K")  # a view: work keeps y's layout
     y_max = max(float(y.max()), -float(y.min()))
-    np.abs(res, out=scratch)
+    _residual(y, factors, work)
+    np.abs(work, out=work)
     r_med = _median(flat)
     spread = MAD_C * r_med if r_med > max(y.shape) * EPS * y_max else 0.0
-    np.copyto(scratch, y)
-    np.subtract(y, _median(flat), out=scratch)
-    np.abs(scratch, out=scratch)
+    np.copyto(work, y)
+    np.subtract(y, _median(flat), out=work)
+    np.abs(work, out=work)
     thresh = MAD_NORMAL * max(spread, MAD_FLOOR * _median(flat))
     if thresh == 0.0:
         thresh = MAD_NORMAL * MAD_FLOOR * y_max
@@ -246,78 +249,142 @@ class ShrinkRun:
     lam: float
 
 
-# elements per block of the shrink sweep: a block each of y, b, the residual
-# and the scratch is 2 MB, which a core's L2 cache holds
+# elements per product tile: P(M) = left @ right is formed one tile at a time,
+# each by one BLAS call.  BLAS rounds the entries of a product split one way
+# differently in the last bits from the same entries split another way, so
+# the grid is fixed by y's shape and TILE alone: every pass over the tiles
+# then reproduces the same P(M) to the bit
+TILE = 1 << 16
+# elements per block of the shrink sweep within a tile: a block each of y,
+# M, the product and the shrink is 2 MB, which a core's L2 cache holds
 BLOCK = 1 << 16
+
+
+def _tiles(shape: tuple[int, ...]):
+    """The product grid of a vector or column-major matrix of *shape*, as
+    (lo, hi, rows, cols): flat elements lo:hi hold rows x cols.  A tile is
+    TILE rows of one column when a column has at least TILE rows, and
+    otherwise as many whole columns as TILE elements hold (at least one)."""
+    m = shape[0]
+    n = shape[1] if len(shape) == 2 else 1
+    height, width = min(m, TILE), max(1, TILE // m)
+    tiles = []
+    for j in range(0, n, width):
+        cols = slice(j, min(j + width, n))
+        for i in range(0, m, height):
+            rows = slice(i, min(i + height, m))
+            lo = j * m + i
+            tiles.append((lo, lo + (rows.stop - i) * (cols.stop - j), rows, cols))
+    return tiles
+
+
+def _tile_product(factors, rows: slice, cols: slice, out: np.ndarray) -> None:
+    """out <- (left @ right)[rows, cols], column-major, for *factors* =
+    (left, right); a vector right gives the rows of a vector."""
+    left, right = factors
+    if right.ndim == 1:
+        np.matmul(left[rows], right, out=out)
+    else:  # through its transpose, so BLAS fills the column-major tile directly
+        np.matmul(right[:, cols].T, left[rows].T, out=out.reshape(cols.stop - cols.start, -1))
+
+
+def _residual(y: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
+    """out <- y - left @ right for *factors* = (left, right), the product
+    formed on y's tile grid, so it equals the sweep's to the bit; *out* has
+    y's layout.  Returns *out*."""
+    flat = out.ravel(order="K")
+    for lo, hi, rows, cols in _tiles(y.shape):
+        _tile_product(factors, rows, cols, flat[lo:hi])
+    return np.subtract(y, out, out=out)
 
 
 def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
-    *project(res)* overwrites res with P(res).  lam, tol and max_iter come
-    from the solver config *cfg*: lam=None applies `_mad_lambda` to the first
-    residual y - P(y), and tol=None applies cfg.REL_TOL * ||y|| (`data_norm`,
-    which also refuses y whose ||y||^2 over- or underflows).  Besides y the
-    loop holds two arrays of y's layout, b and one residual, and one block of
-    BLOCK elements.  After each projection it sweeps the flat arrays block by
-    block, computing in the block the shrink, the objective
-    ||b||_1 + (lam/2) ||y - P(y - b) - b||^2, ||Δb|| and the next y - b.
-    Above BLOCK elements the objective and ||Δb|| are sums of per-block sums,
-    so they can differ in the last bits from sums over the whole array; b
-    does not depend on BLOCK.
+    Besides y the loop holds one array of y's layout, M = y - b, one product
+    tile of at most TILE elements and one block of at most BLOCK.
+    *project(M)* returns factors (left, right) with P(M) = left @ right and
+    writes nothing of y's size.  Each sweep forms P(M) tile by tile on the
+    grid of `_tiles` and shrinks each tile block by block as soon as it is
+    formed: b = shrink(r, 1/lam) for r = y - P(M), the objective
+    ||b||_1 + (lam/2) ||r - b||^2, ||Δb|| with the previous b read as
+    y - M, and y - b written into M.  The objective and ||Δb|| are sums of
+    per-block sums, so they can differ in the last bits from sums over the
+    whole array; b does not depend on BLOCK.  A last sweep, from the last
+    factors, writes b into M's buffer.  lam, tol and max_iter come from the
+    solver config *cfg*: lam=None applies `_mad_lambda` to the first
+    residual y - P(y), formed in M's buffer, and tol=None applies
+    cfg.REL_TOL * ||y|| (`data_norm`, which also refuses y whose ||y||^2
+    over- or underflows).
 
-    *finish(b, res, thresh)*, when given, is tried after each step but the
-    first that does not meet tol, so a one-step run tries none.  It returns
-    True once it has certified the exact minimizer for the support and signs
-    of b, taken its coefficients and written its residual into res; else
-    False, with res left as y - b.  On True one more sweep sets
-    b = shrink(res, thresh), the step's objective becomes the minimizer's,
-    and the run stops converged.
+    *finish(r, thresh)*, when given, is tried after each step but the first
+    that does not meet tol, so a one-step run tries none.  r = y - P(M),
+    formed in M's buffer, which the finish may overwrite, is the residual
+    whose shrink is the step's b.  The finish returns the factors of the
+    exact minimizer once it has certified it for the support and signs of
+    b: then b = shrink(y - P) for those factors, the step's objective
+    becomes the minimizer's, and the run stops converged.  Else it returns
+    None, and y - b is written into M again.
     """
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
     lam = cfg.lam
-    b = np.zeros_like(y)
-    res = y.copy(order="K")  # y - b at b = 0; "K" keeps y's layout, so the flat views align
-    y_flat, b_flat, res_flat = (v.ravel(order="K") for v in (y, b, res))
-    scratch = np.empty(min(BLOCK, y.size))
-    blocks = [(y_flat[lo:lo + BLOCK], b_flat[lo:lo + BLOCK], res_flat[lo:lo + BLOCK],
-               scratch[:min(BLOCK, y.size - lo)]) for lo in range(0, y.size, BLOCK)]
+    m_arr = y.copy(order="K")  # M = y - b at b = 0; "K" keeps y's layout, so the flat views align
+    y_flat, m_flat = y.ravel(order="K"), m_arr.ravel(order="K")
+    tiles = _tiles(y.shape)
+    prod = np.empty(tiles[0][1])  # the first tile is the largest
+    shrunk = np.empty(min(BLOCK, prod.size))
+    grid = []  # each tile's rows, columns and product, and its blocks of y, M, product and shrink
+    for lo, hi, rows, cols in tiles:
+        y_t, m_t, p_t = y_flat[lo:hi], m_flat[lo:hi], prod[:hi - lo]
+        grid.append((rows, cols, p_t, [(y_t[k:k + BLOCK], m_t[k:k + BLOCK], p_t[k:k + BLOCK],
+                                        shrunk[:min(BLOCK, hi - lo - k)])
+                                       for k in range(0, hi - lo, BLOCK)]))
 
-    def sweep(fold):
-        """b <- shrink(r, thresh) on r = y - res when *fold*, else r = res, and
-        res <- y - b; returns the objective and ||Δb||²."""
+    def sweep(factors, write_b):
+        """b <- shrink(y - P, thresh) for P = left @ right, and M <- b when
+        *write_b*, else M <- y - b; returns the objective and ||b - (y - M)||²."""
         l1 = sq = step = 0.0
-        for y_blk, b_blk, r, nb in blocks:
-            if fold:
+        for rows, cols, p_t, blocks in grid:
+            _tile_product(factors, rows, cols, p_t)
+            for y_blk, m_blk, r, nb in blocks:
                 np.subtract(y_blk, r, out=r)
-            # nb <- sign(r) max(|r| - thresh, 0) to the bit, never -0.0
-            r.clip(-thresh, thresh, out=nb)
-            np.subtract(r, nb, out=nb)
-            r -= nb
-            sq += float(np.dot(r, r))
-            np.subtract(b_blk, nb, out=r)
-            step += float(np.dot(r, r))
-            np.abs(nb, out=r)
-            l1 += float(r.sum())
-            np.copyto(b_blk, nb)
-            np.subtract(y_blk, nb, out=r)
+                # nb <- sign(r) max(|r| - thresh, 0) to the bit, never -0.0
+                r.clip(-thresh, thresh, out=nb)
+                np.subtract(r, nb, out=nb)
+                r -= nb
+                sq += float(np.dot(r, r))
+                np.subtract(y_blk, m_blk, out=r)  # the previous b
+                r -= nb
+                step += float(np.dot(r, r))
+                np.abs(nb, out=r)
+                l1 += float(r.sum())
+                if write_b:
+                    np.copyto(m_blk, nb)
+                else:
+                    np.subtract(y_blk, nb, out=m_blk)
         return l1 + 0.5 * lam * sq, step
 
     trace: list[float] = []
     for it in range(1, cfg.max_iter + 1):
-        project(res)
-        fold = lam is not None  # y - P(y - b) is formed block by block
-        if not fold:
-            np.subtract(y, res, out=res)
-            lam = _mad_lambda(y, res, b)  # b is 0 on the first step, free as scratch
-            b.fill(0.0)
+        factors = project(m_arr)
+        if lam is None:
+            lam = _mad_lambda(y, factors, m_arr)
+            np.copyto(m_arr, y)  # M = y again, at b = 0
         thresh = 1.0 / lam
-        objective, step = sweep(fold)
+        objective, step = sweep(factors, False)
         trace.append(objective)
-        if math.sqrt(step) <= tol:
-            return ShrinkRun(b, trace, it, True, tol, lam)
-        if finish is not None and it > 1 and finish(b, res, thresh):
-            trace[-1] = sweep(False)[0]
-            return ShrinkRun(b, trace, it, True, tol, lam)
-    return ShrinkRun(b, trace, cfg.max_iter, False, tol, lam)
+        converged = math.sqrt(step) <= tol
+        if converged:
+            break
+        if finish is not None and it > 1:
+            exact = finish(_residual(y, factors, m_arr), thresh)
+            if exact is not None:
+                factors, converged = exact, True
+                break
+            sweep(factors, False)  # y - b into M again, over the finish's work
+    # b is the shrink of y - P for the last factors: from these the step's
+    # own sweep formed it, so its objective repeats to the bit, or they are
+    # the finish's minimizer, whose objective it becomes
+    trace[-1] = sweep(factors, True)[0]
+    return ShrinkRun(m_arr, trace, it, converged, tol, lam)

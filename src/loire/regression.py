@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ShrinkRun, _shrink_project, as_system, check_solver_settings, clean_solve,
-                     range_factors)
+from .linalg import (ShrinkRun, _mad_lambda, _residual, _shrink_project, as_system,
+                     check_solver_settings, clean_solve, range_factors)
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,13 @@ def default_lambda(a, y) -> float:
 
     1/lam = 1.4826 * max(3 median|r|, 0.1 median|y - median(y)|) on the
     least-squares residual r = y - A pinv(A) y (see linalg._mad_lambda), so
-    lam scales as 1/s when (A, y) is scaled by s.  Computed by one solver
-    step, through the projector the solve uses, so it equals
-    loire_solve(a, y, LoireConfig()).lam exactly.
+    lam scales as 1/s when (A, y) is scaled by s.  Computed from the first
+    projection a solve takes, through the `_mad_lambda` its first step
+    applies, so it equals loire_solve(a, y, LoireConfig()).lam exactly.
     """
-    return loire_solve(a, y, LoireConfig(max_iter=1)).lam
+    a, y = as_system(a, y)
+    base, mix, vs_inv = range_factors(a)
+    return _mad_lambda(y, (a, vs_inv @ (mix.T @ (base.T @ y))), np.empty_like(y))
 
 
 def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
@@ -74,9 +76,11 @@ def loire_solve(a, y, cfg: LoireConfig) -> LoireSolution:
 def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
     """`loire_solve` on a system `as_system` validated.
 
-    Factors A once (`range_factors`); the projector P(res) = A x, for the
-    minimum-norm fit x = V S⁻¹ Uᵀ res with Uᵀ = mixᵀ baseᵀ (no m x n U on
-    the Gram route), leaves x in the solution.  Returns the solution and
+    Factors A once (`range_factors`); the projector of M = y - b takes the
+    minimum-norm fit x = V S⁻¹ Uᵀ M with Uᵀ = mixᵀ baseᵀ (no m x n U on the
+    Gram route) and returns the factors (A, x) of P(M) = A x, which the
+    loop forms tile by tile; the last x is the solution's.  Returns the
+    solution and
     *fit*: fit(rows) is the (solve, exact) of the `clean_solve` of *rows*
     (ascending indices) on those factors, kept for the last rows asked, so
     a caller that refits the rows the finish last tried factors nothing
@@ -87,9 +91,12 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
     and signs s are right, the exact minimizer solves the normal equations
     A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, fit(O)'s solve of z = y on the clean
     rows and tau s on O (Madsen & Nielsen, BIT 1990).  The loop tries this
-    finish after every step but the first, with O and s from b, and accepts
-    it only on the certificate |r_c| <= tau and s_o r_o >= tau; it works in
-    the loop's residual and, where the solve downdates the factors of A,
+    finish after every step but the first, on the residual r = y - A x the
+    loop forms in M's buffer: O = {|r| > tau} and s = sign(r_o), which are
+    exactly the support and signs of b = r - clip(r, -tau, tau).  It accepts
+    the minimizer only on the certificate |r_c| <= tau and s_o r_o >= tau,
+    for r formed on the loop's tiles, and returns its factors, or None; it
+    works in r's buffer and, where the solve downdates the factors of A,
     holds no other array of y's size.  It refuses where the clean rows leave
     A_c rank-deficient, as the normal equations may then have no solution,
     and at once, factoring nothing, when A is rank-deficient.
@@ -104,33 +111,29 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
             last = rows, *clean_solve(a, factors, rows)
         return last[1:]
 
-    def project(res):
-        np.matmul(vs_inv, mix.T @ (base.T @ res), out=x)
-        np.matmul(a, x, out=res)
+    def project(m_vec):
+        np.matmul(vs_inv, mix.T @ (base.T @ m_vec), out=x)
+        return a, x
 
-    def finish(b, res, tau):
+    def finish(r, tau):
         if vs_inv.shape[1] < a.shape[1]:
-            return False
-        rows = np.flatnonzero(b)
+            return None
+        rows = np.flatnonzero((r > tau) | (r < -tau))  # b != 0, as b = r - clip(r, -tau, tau)
         solve, exact = fit(rows)
         if not exact:
-            return False
-        s = np.sign(b[rows])
-        np.copyto(res, y)
-        res[rows] = tau * s
-        x_exact = solve(res)
-        np.matmul(a, x_exact, out=res)
-        np.subtract(y, res, out=res)
-        r_o = res[rows]
-        res[rows] = 0.0
-        clean_ok = res.max() <= tau and res.min() >= -tau  # |r_c| <= tau
+            return None
+        s = np.sign(r[rows])
+        np.copyto(r, y)
+        r[rows] = tau * s
+        x_exact = solve(r)
+        _residual(y, (a, x_exact), r)
+        r_o = r[rows]
+        r[rows] = 0.0
         s *= r_o
-        if clean_ok and (s >= tau).all():
-            res[rows] = r_o
+        if r.max() <= tau and r.min() >= -tau and (s >= tau).all():  # |r_c| <= tau, s_o r_o >= tau
             np.copyto(x, x_exact)
-            return True
-        np.subtract(y, b, out=res)
-        return False
+            return a, x
+        return None
 
     run = _shrink_project(y, project, cfg, finish)
     return LoireSolution(**vars(run), x=x), fit

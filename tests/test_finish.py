@@ -22,14 +22,16 @@ from test_regression import LOOP_CASES, _loop_case
 
 @pytest.fixture
 def finishes(monkeypatch):
-    """The outcome of every finish a regression solve tries, in order."""
+    """The outcome of every finish a regression solve tries, in order: True
+    where it certified a minimizer."""
     outcomes = []
     real = regression._shrink_project
 
     def spy(y, project, cfg, finish):
         def recorded(*args):
-            outcomes.append(finish(*args))
-            return outcomes[-1]
+            exact = finish(*args)
+            outcomes.append(exact is not None)
+            return exact
         return real(y, project, cfg, recorded)
 
     monkeypatch.setattr(regression, "_shrink_project", spy)
@@ -95,9 +97,9 @@ def test_finished_objective_is_exact_and_no_worse_than_the_oracle(finishes):
 
 
 def test_wrong_outlier_rows_fail_the_certificate(monkeypatch):
-    # the finish of a solved case, tried on its b with one row's role or sign
-    # changed: each fails one half of the certificate, and leaves the
-    # residual at y - b and x as it was
+    # the finish of a solved case, tried on its residual with one row's role
+    # or sign changed: each fails one half of the certificate and leaves x
+    # as it was; on the residual itself it returns the solve's factors
     finishes = []
     real = regression._shrink_project
     monkeypatch.setattr(regression, "_shrink_project",
@@ -106,20 +108,21 @@ def test_wrong_outlier_rows_fail_the_certificate(monkeypatch):
     a, y, lam = _loop_case("f_order")
     sol = loire_solve(a, y, LoireConfig(lam=lam))
     finish, tau, x = finishes[0], 1.0 / lam, sol.x.copy()
+    r = y - np.asfortranarray(a) @ x
+    assert np.array_equal(sol.b, r - np.clip(r, -tau, tau))
     out = np.flatnonzero(sol.b)
     clean = np.flatnonzero(sol.b == 0)
-    dropped, added, flipped = sol.b.copy(), sol.b.copy(), sol.b.copy()
+    dropped, added, flipped = r.copy(), r.copy(), r.copy()
     dropped[out[0]] = 0.0  # an outlier left among the clean rows: |r_C| > tau
-    added[clean[0]] = 1.0  # a clean row among the outliers: s r < tau
+    added[clean[0]] = tau + 1.0  # a clean row among the outliers: s r < tau
     flipped[out[0]] *= -1.0
-    for b in (dropped, added, flipped):
-        res = np.empty_like(y)
-        assert not finish(b, res, tau)
-        assert np.array_equal(res, y - b) and np.array_equal(sol.x, x)
-    res = np.empty_like(y)
-    assert finish(sol.b.copy(), res, tau)
-    assert np.array_equal(sol.x, x)  # the same minimizer
-    assert np.array_equal(res, y - np.asfortranarray(a) @ x)
+    for wrong in (dropped, added, flipped):
+        assert finish(wrong, tau) is None
+        assert np.array_equal(sol.x, x)
+    left, right = finish(r.copy(), tau)
+    assert np.array_equal(sol.x, x) and np.array_equal(right, x)  # the same minimizer
+    r_exact = y - left @ right
+    assert np.array_equal(sol.b, r_exact - np.clip(r_exact, -tau, tau))
 
 
 def _high_leverage_case(t_far):

@@ -100,13 +100,15 @@ def _regression(m, seed):
 
 def _sweep_results(case, lam):
     """(b, x, lam, iterations, objective trace) of one solve whose y has more
-    than 1000 elements, and a last block of 1000 that is ragged."""
-    if case == "rrf":  # 301 x 40 = 12040 elements; 300 x 40 would fill 12 whole blocks
-        sol = rrf_solve(_low_rank_plus_spikes(301, 40, 0),
-                        FactorizationConfig(rank=2, lam=lam, max_iter=200))
+    than 1000 elements, and a last block of 1000 that is ragged.  The tall
+    cases' columns are longer than a product tile, so their tiles split rows."""
+    tall = linalg.TILE + 1001 if case.endswith("-tall") else None
+    if case.startswith("rrf"):  # 301 x 40 = 12040 elements; 300 x 40 would fill 12 whole blocks
+        y = _low_rank_plus_spikes(tall, 3, 0) if tall else _low_rank_plus_spikes(301, 40, 0)
+        sol = rrf_solve(y, FactorizationConfig(rank=2, lam=lam, max_iter=200))
         return sol.b, sol.x, sol.lam, sol.iterations, sol.objective_trace
-    a, y = _regression(2500, 1)
-    if case == "loire":
+    a, y = _regression(tall or 2500, 1)
+    if case.startswith("loire"):
         sol = loire_solve(a, y, LoireConfig(lam=lam))
         x = sol.x
     else:  # app_bem's refit x, after its stage-1 solve
@@ -117,10 +119,12 @@ def _sweep_results(case, lam):
 
 class TestShrinkSweep:
     @pytest.mark.parametrize("lam", [0.5, None])
-    @pytest.mark.parametrize("case", ["rrf", "loire", "appbem"])
+    @pytest.mark.parametrize("case", ["rrf", "loire", "appbem", "rrf-tall", "loire-tall"])
     def test_blocked_sweep_equals_one_block(self, monkeypatch, case, lam):
         # the shrink is elementwise, so b, x, lam and the iterations do not
-        # depend on the block size; only the objective's sums are regrouped
+        # depend on the block size; only the objective's sums are regrouped.
+        # The product tiles do not follow the blocks: BLAS rounds a product
+        # split another way differently in the last bits
         whole = _sweep_results(case, lam)
         monkeypatch.setattr(linalg, "BLOCK", 1000)
         blocked = _sweep_results(case, lam)
@@ -128,6 +132,23 @@ class TestShrinkSweep:
         for got, want in zip(blocked[:4], whole[:4]):  # b, x, lam, iterations
             assert np.array_equal(got, want)
         np.testing.assert_allclose(blocked[4], whole[4], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(linalg.TILE + 1001, 3), (linalg.TILE + 1001,),
+                                       (301, 400), (2500,)])
+    def test_product_tiles_cover_y_once(self, shape):
+        # a column longer than a tile is split into rows, else a tile takes
+        # whole columns, the last ragged; y - left @ right is formed on them
+        rng = np.random.default_rng(5)
+        y = np.asfortranarray(rng.normal(size=shape))
+        left = rng.normal(size=(shape[0], 2))
+        right = rng.normal(size=(2, shape[1]) if len(shape) == 2 else 2)
+        tiles = linalg._tiles(shape)
+        assert len(tiles) > 1 or y.size <= linalg.TILE
+        assert max(hi - lo for lo, hi, _, _ in tiles) <= linalg.TILE
+        flat = np.concatenate([np.arange(lo, hi) for lo, hi, _, _ in tiles])
+        assert np.array_equal(flat, np.arange(y.size))
+        np.testing.assert_allclose(linalg._residual(y, (left, right), np.empty_like(y)),
+                                   y - left @ right, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.5, None])
     def test_rrf_solve_holds_two_full_size_arrays(self, lam, traced_peak):
@@ -142,6 +163,20 @@ class TestShrinkSweep:
         sol, peak = traced_peak(lambda: rrf_solve(y, cfg))
         assert sol.iterations > 1
         assert peak <= 1.1 * (2 * y.nbytes + linalg.BLOCK * y.itemsize)
+
+    @pytest.mark.parametrize("lam", [0.5, None])
+    def test_rrf_solve_holds_one_full_size_array(self, lam, traced_peak):
+        # M = Y - B and no B besides y: each product tile of A X is formed in
+        # one tile of scratch and shrunk there block by block, with one block
+        # of scratch for the shrink, and the final B is written into M.  The
+        # rank-1 step's vectors and 100 x 100 start Gram fit the 10% slack
+        y = _low_rank_plus_spikes(1600, 100, 2)
+        assert y.size > linalg.TILE
+        cfg = FactorizationConfig(rank=1, lam=lam, max_iter=20)
+        sol, peak = traced_peak(lambda: rrf_solve(y, cfg))
+        print(f"\nrrf_solve on 1600 x 100, lam={lam}: traced peak {peak / y.nbytes:.3f} y.nbytes")
+        assert sol.iterations > 1
+        assert peak <= 1.1 * (y.nbytes + (linalg.TILE + linalg.BLOCK) * y.itemsize)
 
 
 def _conditioned(m, n, kappa, seed):
