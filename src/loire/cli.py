@@ -405,6 +405,9 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError) as exc:  # PgmError is a ValueError
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        print(f"loire: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -113,7 +113,7 @@ def rrf_solve(y, cfg: FactorizationConfig) -> FactorizationSolution:
     Stops when ||B_{k+1} - B_k||_F drops to cfg.tol.  The projector returns
     the factors (A, X) and writes no A X: the loop forms A X tile by tile
     (`linalg._shrink_project`), so besides Y it holds one array of Y's size,
-    Y - B, into which it writes B at the end.
+    in which each step's sweep writes B and the next step forms Y - B.
     """
     y = as_matrix(y)
     if cfg.rank > min(y.shape):

@@ -250,14 +250,13 @@ class ShrinkRun:
 
 
 # elements per product tile: P(M) = left @ right is formed one tile at a time,
-# each by one BLAS call.  BLAS rounds the entries of a product split one way
+# each by one BLAS call, and each tile is shrunk as soon as it is formed.  A
+# tile each of y, M, the product and the shrink is 2 MB, which a core's L2
+# cache holds.  BLAS rounds the entries of a product split one way
 # differently in the last bits from the same entries split another way, so
 # the grid is fixed by y's shape and TILE alone: every pass over the tiles
 # then reproduces the same P(M) to the bit
 TILE = 1 << 16
-# elements per block of the shrink sweep within a tile: a block each of y,
-# M, the product and the shrink is 2 MB, which a core's L2 cache holds
-BLOCK = 1 << 16
 
 
 def _tiles(shape: tuple[int, ...]):
@@ -301,30 +300,27 @@ def _residual(y: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
 def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
-    Besides y the loop holds one array of y's layout, M = y - b, one product
-    tile of at most TILE elements and one block of at most BLOCK.
+    Besides y the loop holds one array of y's layout and two tiles of at
+    most TILE elements, a product and a shrink.  The array holds b after
+    each step and M = y - b, formed in place, while the next step projects:
     *project(M)* returns factors (left, right) with P(M) = left @ right and
     writes nothing of y's size.  Each sweep forms P(M) tile by tile on the
-    grid of `_tiles` and shrinks each tile block by block as soon as it is
-    formed: b = shrink(r, 1/lam) for r = y - P(M), the objective
-    ||b||_1 + (lam/2) ||r - b||^2, ||Δb|| with the previous b read as
-    y - M, and y - b written into M.  The objective and ||Δb|| are sums of
-    per-block sums, so they can differ in the last bits from sums over the
-    whole array; b does not depend on BLOCK.  A last sweep, from the last
-    factors, writes b into M's buffer.  lam, tol and max_iter come from the
-    solver config *cfg*: lam=None applies `_mad_lambda` to the first
-    residual y - P(y), formed in M's buffer, and tol=None applies
-    cfg.REL_TOL * ||y|| (`data_norm`, which also refuses y whose ||y||^2
-    over- or underflows).
+    grid of `_tiles` and shrinks each tile as soon as it is formed: b =
+    shrink(r, 1/lam) for r = y - P(M), the objective ||b||_1 + (lam/2)
+    ||r - b||^2, ||Δb|| with the previous b read as y - M, and b written
+    over M.  The objective and ||Δb|| are sums of per-tile sums.  lam, tol
+    and max_iter come from the solver config *cfg*: lam=None applies
+    `_mad_lambda` to the first residual y - P(y), formed in M's buffer, and
+    tol=None applies cfg.REL_TOL * ||y|| (`data_norm`, which also refuses y
+    whose ||y||^2 over- or underflows).
 
-    *finish(r, thresh)*, when given, is tried after each step but the first
-    that does not meet tol, so a one-step run tries none.  r = y - P(M),
-    formed in M's buffer, which the finish may overwrite, is the residual
-    whose shrink is the step's b.  The finish returns the factors of the
-    exact minimizer once it has certified it for the support and signs of
-    b: then b = shrink(y - P) for those factors, the step's objective
-    becomes the minimizer's, and the run stops converged.  Else it returns
-    None, and y - b is written into M again.
+    *finish(b, thresh)*, when given, is tried after each step but the first
+    that does not meet tol, so a one-step run tries none, on the step's b in
+    the loop's array, which the finish may use as its workspace.  It returns
+    the factors of the exact minimizer once it has certified it for the
+    support and signs of b: then one sweep from those factors writes b and
+    the step's objective becomes the minimizer's, and the run stops
+    converged.  Else it returns None with b as it was.
     """
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
@@ -332,59 +328,47 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     m_arr = y.copy(order="K")  # M = y - b at b = 0; "K" keeps y's layout, so the flat views align
     y_flat, m_flat = y.ravel(order="K"), m_arr.ravel(order="K")
     tiles = _tiles(y.shape)
-    prod = np.empty(tiles[0][1])  # the first tile is the largest
-    shrunk = np.empty(min(BLOCK, prod.size))
-    grid = []  # each tile's rows, columns and product, and its blocks of y, M, product and shrink
-    for lo, hi, rows, cols in tiles:
-        y_t, m_t, p_t = y_flat[lo:hi], m_flat[lo:hi], prod[:hi - lo]
-        grid.append((rows, cols, p_t, [(y_t[k:k + BLOCK], m_t[k:k + BLOCK], p_t[k:k + BLOCK],
-                                        shrunk[:min(BLOCK, hi - lo - k)])
-                                       for k in range(0, hi - lo, BLOCK)]))
+    prod, shrunk = np.empty(tiles[0][1]), np.empty(tiles[0][1])  # the first tile is the largest
+    grid = [(rows, cols, y_flat[lo:hi], m_flat[lo:hi], prod[:hi - lo], shrunk[:hi - lo])
+            for lo, hi, rows, cols in tiles]
 
-    def sweep(factors, write_b):
-        """b <- shrink(y - P, thresh) for P = left @ right, and M <- b when
-        *write_b*, else M <- y - b; returns the objective and ||b - (y - M)||²."""
+    def sweep(factors):
+        """b <- shrink(y - P, thresh) for P = left @ right, written over M;
+        returns the objective and ||b - (y - M)||²."""
         l1 = sq = step = 0.0
-        for rows, cols, p_t, blocks in grid:
-            _tile_product(factors, rows, cols, p_t)
-            for y_blk, m_blk, r, nb in blocks:
-                np.subtract(y_blk, r, out=r)
-                # nb <- sign(r) max(|r| - thresh, 0) to the bit, never -0.0
-                r.clip(-thresh, thresh, out=nb)
-                np.subtract(r, nb, out=nb)
-                r -= nb
-                sq += float(np.dot(r, r))
-                np.subtract(y_blk, m_blk, out=r)  # the previous b
-                r -= nb
-                step += float(np.dot(r, r))
-                np.abs(nb, out=r)
-                l1 += float(r.sum())
-                if write_b:
-                    np.copyto(m_blk, nb)
-                else:
-                    np.subtract(y_blk, nb, out=m_blk)
+        for rows, cols, y_t, m_t, r, nb in grid:
+            _tile_product(factors, rows, cols, r)
+            np.subtract(y_t, r, out=r)
+            # nb <- sign(r) max(|r| - thresh, 0) to the bit, never -0.0
+            r.clip(-thresh, thresh, out=nb)
+            np.subtract(r, nb, out=nb)
+            r -= nb
+            sq += float(np.dot(r, r))
+            np.subtract(y_t, m_t, out=r)  # the previous b
+            r -= nb
+            step += float(np.dot(r, r))
+            np.copyto(m_t, nb)
+            np.abs(nb, out=r)
+            l1 += float(r.sum())
         return l1 + 0.5 * lam * sq, step
 
     trace: list[float] = []
     for it in range(1, cfg.max_iter + 1):
+        if it > 1:
+            np.subtract(y, m_arr, out=m_arr)  # M = y - b
         factors = project(m_arr)
         if lam is None:
             lam = _mad_lambda(y, factors, m_arr)
             np.copyto(m_arr, y)  # M = y again, at b = 0
         thresh = 1.0 / lam
-        objective, step = sweep(factors, False)
+        objective, step = sweep(factors)
         trace.append(objective)
         converged = math.sqrt(step) <= tol
         if converged:
             break
         if finish is not None and it > 1:
-            exact = finish(_residual(y, factors, m_arr), thresh)
+            exact = finish(m_arr, thresh)
             if exact is not None:
-                factors, converged = exact, True
+                trace[-1], converged = sweep(exact)[0], True
                 break
-            sweep(factors, False)  # y - b into M again, over the finish's work
-    # b is the shrink of y - P for the last factors: from these the step's
-    # own sweep formed it, so its objective repeats to the bit, or they are
-    # the finish's minimizer, whose objective it becomes
-    trace[-1] = sweep(factors, True)[0]
     return ShrinkRun(m_arr, trace, it, converged, tol, lam)

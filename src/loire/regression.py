@@ -80,26 +80,26 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
     minimum-norm fit x = V S⁻¹ Uᵀ M with Uᵀ = mixᵀ baseᵀ (no m x n U on the
     Gram route) and returns the factors (A, x) of P(M) = A x, which the
     loop forms tile by tile; the last x is the solution's.  Returns the
-    solution and
-    *fit*: fit(rows) is the (solve, exact) of the `clean_solve` of *rows*
-    (ascending indices) on those factors, kept for the last rows asked, so
-    a caller that refits the rows the finish last tried factors nothing
-    again.
+    solution and *fit*: fit(rows) is the (solve, exact) of the
+    `clean_solve` of *rows* (ascending indices) on those factors, kept for
+    the last rows asked, so a caller that refits the rows the finish last
+    tried factors nothing again.
 
     Minimizing f(x, b) over b leaves Huber's loss of r = y - A x at
     tau = 1/lam (She & Owen, JASA 2011).  So once the loop's outlier rows O
     and signs s are right, the exact minimizer solves the normal equations
     A_cᵀA_c x = A_cᵀy_c + tau A_oᵀs_o, fit(O)'s solve of z = y on the clean
     rows and tau s on O (Madsen & Nielsen, BIT 1990).  The loop tries this
-    finish after every step but the first, on the residual r = y - A x the
-    loop forms in M's buffer: O = {|r| > tau} and s = sign(r_o), which are
-    exactly the support and signs of b = r - clip(r, -tau, tau).  It accepts
-    the minimizer only on the certificate |r_c| <= tau and s_o r_o >= tau,
-    for r formed on the loop's tiles, and returns its factors, or None; it
-    works in r's buffer and, where the solve downdates the factors of A,
-    holds no other array of y's size.  It refuses where the clean rows leave
-    A_c rank-deficient, as the normal equations may then have no solution,
-    and at once, factoring nothing, when A is rank-deficient.
+    finish after every step but the first, on the step's b: O = {b != 0}
+    and s = sign(b_o), which are exactly the rows {|r| > tau} and signs of
+    r = y - A x, as b = r - clip(r, -tau, tau).  It accepts the minimizer
+    only on the certificate |r_c| <= tau and s_o r_o >= tau, for r formed on
+    the loop's tiles, and returns its factors, or None with b written back
+    from the |O| values b_o it keeps.  It works in b's buffer and, where the
+    solve downdates the factors of A, holds no other array of y's size.  It
+    refuses where the clean rows leave A_c rank-deficient, as the normal
+    equations may then have no solution, and at once, factoring nothing,
+    when A is rank-deficient.
     """
     factors = base, mix, vs_inv = range_factors(a)
     x = np.zeros(a.shape[1])
@@ -115,14 +115,16 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
         np.matmul(vs_inv, mix.T @ (base.T @ m_vec), out=x)
         return a, x
 
-    def finish(r, tau):
+    def finish(b, tau):
         if vs_inv.shape[1] < a.shape[1]:
             return None
-        rows = np.flatnonzero((r > tau) | (r < -tau))  # b != 0, as b = r - clip(r, -tau, tau)
+        rows = np.flatnonzero(b)  # {|r| > tau}, as b = r - clip(r, -tau, tau) has r's sign
         solve, exact = fit(rows)
         if not exact:
             return None
-        s = np.sign(r[rows])
+        b_o = b[rows]
+        s = np.sign(b_o)
+        r = b  # the workspace, written back on refusal
         np.copyto(r, y)
         r[rows] = tau * s
         x_exact = solve(r)
@@ -133,6 +135,8 @@ def _loire_solve(a: np.ndarray, y: np.ndarray, cfg: LoireConfig):
         if r.max() <= tau and r.min() >= -tau and (s >= tau).all():  # |r_c| <= tau, s_o r_o >= tau
             np.copyto(x, x_exact)
             return a, x
+        b.fill(0.0)
+        b[rows] = b_o
         return None
 
     run = _shrink_project(y, project, cfg, finish)

@@ -462,7 +462,7 @@ class TestBgmodel:
                                           background)
 
     @staticmethod
-    def _two_block_square(tmp_path):
+    def _two_tile_square(tmp_path):
         # an 8x8 square moving down 2 and right 3 pixels a frame across a
         # static 64x64 texture: 20 frames, 81920 entries
         background = np.random.default_rng(4).integers(40, 120, size=(64, 64)).astype(np.uint8)
@@ -474,9 +474,9 @@ class TestBgmodel:
     def test_frames_match_the_full_array_formula(self, tmp_path):
         # frame j is A X[:, j] and |B[:, j]| scaled, without a full-size A X or
         # |B|; a run writes those frames and timing.json alone, and repeats
-        # byte for byte.  The second stack spans two blocks of the shrink sweep
+        # byte for byte.  The second stack spans two tiles of the shrink sweep
         for case, write, lam in (("square", self._moving_square, 0.1),
-                                 ("blocks", self._two_block_square, None)):
+                                 ("tiles", self._two_tile_square, None)):
             frames = tmp_path / case
             frames.mkdir()
             write(frames)
@@ -492,7 +492,7 @@ class TestBgmodel:
             for name in names:
                 assert (out / name).read_bytes() == (again / name).read_bytes()
             stack = FrameStack.from_frames(read_pgm(p) for p in paths)
-            assert (stack.matrix.size > linalg.BLOCK) == (case == "blocks")
+            assert (stack.matrix.size > linalg.TILE) == (case == "tiles")
             sol = rrf_solve(stack.matrix, FactorizationConfig(rank=2, lam=lam))
             background = sol.a @ sol.x
             fg = np.abs(sol.b)
@@ -625,6 +625,24 @@ def test_os_error_is_data_error(tmp_path, capsys, monkeypatch, files, argv, mess
     err = capsys.readouterr().err
     assert err.startswith("loire: error: ") and err.count("\n") == 1
     assert message in err
+
+
+NUMPY_OOM = "Unable to allocate 373. GiB for an array with shape (223607, 223607) and data type float64"
+
+
+@pytest.mark.parametrize("error, message", [(MemoryError(NUMPY_OOM), NUMPY_OOM),
+                                            (MemoryError(), "out of memory")],
+                         ids=["numpy", "bare"])
+def test_out_of_memory_is_data_error(tmp_path, capsys, monkeypatch, error, message):
+    # an instance too large to allocate is the input's fault, reported on
+    # one line with the data-error code; nothing is allocated for real
+    def too_large(spec):
+        raise error
+    monkeypatch.setattr("loire.cli.generate_sim", too_large)
+    out = tmp_path / "out"
+    assert main(["simulate", "--n", "1000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"loire: error: {message}\n"
+    assert not out.exists()
 
 
 def test_module_entry_reports_a_bad_setting_without_a_traceback(tmp_path):

@@ -97,9 +97,10 @@ def test_finished_objective_is_exact_and_no_worse_than_the_oracle(finishes):
 
 
 def test_wrong_outlier_rows_fail_the_certificate(monkeypatch):
-    # the finish of a solved case, tried on its residual with one row's role
-    # or sign changed: each fails one half of the certificate and leaves x
-    # as it was; on the residual itself it returns the solve's factors
+    # the finish of a solved case, tried on its b with one row's role or
+    # sign changed: each fails one half of the certificate and leaves b, its
+    # workspace, and x as they were; on a copy of b itself it returns the
+    # solve's factors
     finishes = []
     real = regression._shrink_project
     monkeypatch.setattr(regression, "_shrink_project",
@@ -108,18 +109,18 @@ def test_wrong_outlier_rows_fail_the_certificate(monkeypatch):
     a, y, lam = _loop_case("f_order")
     sol = loire_solve(a, y, LoireConfig(lam=lam))
     finish, tau, x = finishes[0], 1.0 / lam, sol.x.copy()
-    r = y - np.asfortranarray(a) @ x
-    assert np.array_equal(sol.b, r - np.clip(r, -tau, tau))
     out = np.flatnonzero(sol.b)
     clean = np.flatnonzero(sol.b == 0)
-    dropped, added, flipped = r.copy(), r.copy(), r.copy()
+    dropped, added, flipped = sol.b.copy(), sol.b.copy(), sol.b.copy()
     dropped[out[0]] = 0.0  # an outlier left among the clean rows: |r_C| > tau
-    added[clean[0]] = tau + 1.0  # a clean row among the outliers: s r < tau
+    added[clean[0]] = 1.0  # a clean row among the outliers: s r < tau
     flipped[out[0]] *= -1.0
     for wrong in (dropped, added, flipped):
+        given = wrong.copy()
         assert finish(wrong, tau) is None
+        assert wrong.tobytes() == given.tobytes()
         assert np.array_equal(sol.x, x)
-    left, right = finish(r.copy(), tau)
+    left, right = finish(sol.b.copy(), tau)
     assert np.array_equal(sol.x, x) and np.array_equal(right, x)  # the same minimizer
     r_exact = y - left @ right
     assert np.array_equal(sol.b, r_exact - np.clip(r_exact, -tau, tau))
@@ -256,10 +257,10 @@ def test_one_step_takes_no_eigh_beyond_the_factorization(eigh_calls):
 
 def _gross_case():
     """A, y and the outlier rows: a 50000 x 20 Gaussian A, noise 0.1 and 5%
-    of the rows off by 5 to 20, one block of the shrink sweep."""
+    of the rows off by 5 to 20, one tile of the shrink sweep."""
     rng = np.random.default_rng(0)
     m, n = 50000, 20
-    assert m <= linalg.BLOCK
+    assert m <= linalg.TILE
     a = np.asfortranarray(rng.normal(size=(m, n)))
     y = a @ rng.normal(size=n) + 0.1 * rng.normal(size=m)
     rows = rng.random(m) < 0.05
@@ -269,9 +270,10 @@ def _gross_case():
 
 def test_finish_holds_no_new_full_size_array(traced_peak):
     # the Gram route forms no U (m x n, 20 vectors of y's size here): besides
-    # y the solve holds b, the residual and the scratch block, each of y's
-    # size here, and the finish gathers A_o and U_o = A_o V S⁻¹ on the 5% of
-    # rows set apart, with a few vectors of |O| entries
+    # y the solve holds the loop's array and its product and shrink tiles,
+    # each of y's size here, and the finish works in the loop's array and
+    # gathers A_o and U_o = A_o V S⁻¹ on the 5% of rows set apart, with a
+    # few vectors of |O| entries
     a, y, rows = _gross_case()
     for solve in (lambda: loire_solve(a, y, LoireConfig()),
                   lambda: app_bem(a, y, LoireConfig()).loire):

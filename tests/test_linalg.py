@@ -3,10 +3,11 @@ import pytest
 
 from loire import (FactorizationConfig, LoireConfig, OracleConfig, app_bem, baseline_lad,
                    bernoulli_oracle, least_squares_solve, loire_solve, rrf_solve)
-from loire import linalg
+from loire import linalg, regression
 from loire.cli import main
 from oracles import counting_svd
 from test_bernoulli import _perfbench_workloads
+from test_regression import LOOP_CASES, _loop_case
 
 
 class TestLeastSquares:
@@ -98,40 +99,37 @@ def _regression(m, seed):
     return a, y + np.where(rng.random(m) < 0.05, 20.0, 0.0)
 
 
-def _sweep_results(case, lam):
-    """(b, x, lam, iterations, objective trace) of one solve whose y has more
-    than 1000 elements, and a last block of 1000 that is ragged.  The tall
-    cases' columns are longer than a product tile, so their tiles split rows."""
+def _sweep_solve(case, lam):
+    """(solution, y, factors) of one solve, where y - left @ right for
+    *factors* = (left, right) is the residual whose shrink is the solution's
+    b: (A, X) for rrf, (A, x) for regression, with A column-major as the
+    solve holds it.  y of the short cases spans one product tile; the tall
+    cases' columns are longer than a tile, so their tiles split rows."""
     tall = linalg.TILE + 1001 if case.endswith("-tall") else None
-    if case.startswith("rrf"):  # 301 x 40 = 12040 elements; 300 x 40 would fill 12 whole blocks
+    if case.startswith("rrf"):
         y = _low_rank_plus_spikes(tall, 3, 0) if tall else _low_rank_plus_spikes(301, 40, 0)
         sol = rrf_solve(y, FactorizationConfig(rank=2, lam=lam, max_iter=200))
-        return sol.b, sol.x, sol.lam, sol.iterations, sol.objective_trace
+        return sol, y, (sol.a, sol.x)
     a, y = _regression(tall or 2500, 1)
-    if case.startswith("loire"):
-        sol = loire_solve(a, y, LoireConfig(lam=lam))
-        x = sol.x
-    else:  # app_bem's refit x, after its stage-1 solve
-        bem = app_bem(a, y, LoireConfig(lam=lam))
-        sol, x = bem.loire, bem.x
-    return sol.b, x, sol.lam, sol.iterations, sol.objective_trace
+    # app_bem's stage-1 solve, whose b it flags
+    sol = loire_solve(a, y, LoireConfig(lam=lam)) if case.startswith("loire") else \
+        app_bem(a, y, LoireConfig(lam=lam)).loire
+    return sol, y, (np.asfortranarray(a), sol.x)
 
 
 class TestShrinkSweep:
     @pytest.mark.parametrize("lam", [0.5, None])
     @pytest.mark.parametrize("case", ["rrf", "loire", "appbem", "rrf-tall", "loire-tall"])
-    def test_blocked_sweep_equals_one_block(self, monkeypatch, case, lam):
-        # the shrink is elementwise, so b, x, lam and the iterations do not
-        # depend on the block size; only the objective's sums are regrouped.
-        # The product tiles do not follow the blocks: BLAS rounds a product
-        # split another way differently in the last bits
-        whole = _sweep_results(case, lam)
-        monkeypatch.setattr(linalg, "BLOCK", 1000)
-        blocked = _sweep_results(case, lam)
-        assert whole[3] > 1 and np.count_nonzero(whole[0]) > 0
-        for got, want in zip(blocked[:4], whole[:4]):  # b, x, lam, iterations
-            assert np.array_equal(got, want)
-        np.testing.assert_allclose(blocked[4], whole[4], rtol=1e-12, atol=0.0)
+    def test_b_is_the_shrink_of_the_returned_factors(self, case, lam):
+        # the sweep writes b over M, and no later pass rewrites it: b is, to
+        # the bit and with no -0.0, the shrink of the residual of the factors
+        # returned, formed on the same tiles
+        sol, y, factors = _sweep_solve(case, lam)
+        tau = 1.0 / sol.lam
+        r = linalg._residual(y, factors, np.empty_like(y))
+        assert sol.iterations > 1 and np.count_nonzero(sol.b) > 0
+        assert np.array_equal(sol.b, r - np.clip(r, -tau, tau))
+        assert not np.any(np.signbit(sol.b[sol.b == 0.0]))
 
     @pytest.mark.parametrize("shape", [(linalg.TILE + 1001, 3), (linalg.TILE + 1001,),
                                        (301, 400), (2500,)])
@@ -152,31 +150,73 @@ class TestShrinkSweep:
 
     @pytest.mark.parametrize("lam", [0.5, None])
     def test_rrf_solve_holds_two_full_size_arrays(self, lam, traced_peak):
-        # b and the residual besides y, one block of scratch, and the rank-1
-        # step's m-vectors and 100 x 100 start Gram within the 10% slack.
-        # A tall input like a frame stack: a square one's Gram start alone
-        # holds two arrays of y's size.  lam=None also bounds the first
-        # step's medians, which take b's buffer
+        # besides y, the loop's one array of y's size and its product and
+        # shrink tiles, and the rank-1 step's m-vectors and 100 x 100 start
+        # Gram within the 10% slack.  A tall input like a frame stack: a
+        # square one's Gram start alone holds two arrays of y's size.
+        # lam=None also bounds the first step's medians, which take the
+        # loop's array
         y = _low_rank_plus_spikes(1600, 100, 2)
-        assert y.size > linalg.BLOCK
+        assert y.size > linalg.TILE
         cfg = FactorizationConfig(rank=1, lam=lam, max_iter=20)
         sol, peak = traced_peak(lambda: rrf_solve(y, cfg))
         assert sol.iterations > 1
-        assert peak <= 1.1 * (2 * y.nbytes + linalg.BLOCK * y.itemsize)
+        assert peak <= 1.1 * (2 * y.nbytes + linalg.TILE * y.itemsize)
 
     @pytest.mark.parametrize("lam", [0.5, None])
     def test_rrf_solve_holds_one_full_size_array(self, lam, traced_peak):
-        # M = Y - B and no B besides y: each product tile of A X is formed in
-        # one tile of scratch and shrunk there block by block, with one block
-        # of scratch for the shrink, and the final B is written into M.  The
-        # rank-1 step's vectors and 100 x 100 start Gram fit the 10% slack
+        # one array besides y, B after each sweep and Y - B while the next
+        # step projects: each product tile of A X is formed in one tile of
+        # scratch and shrunk into a second, and B is written over Y - B.
+        # The rank-1 step's vectors and 100 x 100 start Gram fit the 10% slack
         y = _low_rank_plus_spikes(1600, 100, 2)
         assert y.size > linalg.TILE
         cfg = FactorizationConfig(rank=1, lam=lam, max_iter=20)
         sol, peak = traced_peak(lambda: rrf_solve(y, cfg))
         print(f"\nrrf_solve on 1600 x 100, lam={lam}: traced peak {peak / y.nbytes:.3f} y.nbytes")
         assert sol.iterations > 1
-        assert peak <= 1.1 * (y.nbytes + (linalg.TILE + linalg.BLOCK) * y.itemsize)
+        assert peak <= 1.1 * (y.nbytes + 2 * linalg.TILE * y.itemsize)
+
+    @pytest.mark.parametrize("case", [*LOOP_CASES, "rrf-0.5", "rrf-None"])
+    def test_one_product_pass_per_step(self, monkeypatch, case):
+        # a step forms P(M) once over the tiles; lam=None's first residual
+        # adds one pass, a finish one certificate pass where it gets that
+        # far, and a certified finish one sweep from its minimizer.  No pass
+        # restores M and none runs after the loop
+        products, certificates, finishes = [], [], []
+        real_product, real_residual = linalg._tile_product, regression._residual
+        real_loop = regression._shrink_project
+        monkeypatch.setattr(linalg, "_tile_product",
+                            lambda *args: products.append(1) or real_product(*args))
+        monkeypatch.setattr(regression, "_residual",
+                            lambda *args: certificates.append(1) or real_residual(*args))
+
+        def loop(y, project, cfg, finish):
+            def recorded(b, tau):
+                exact = finish(b, tau)
+                finishes.append(exact is not None)
+                return exact
+            return real_loop(y, project, cfg, recorded)
+
+        monkeypatch.setattr(regression, "_shrink_project", loop)
+        if case.startswith("rrf"):
+            lam = None if case == "rrf-None" else 0.5
+            y = _low_rank_plus_spikes(1600, 100, 2)
+            sol = rrf_solve(y, FactorizationConfig(rank=1, lam=lam, max_iter=20))
+            passes = sol.iterations + (lam is None)
+        else:
+            a, y, lam = _loop_case(case)
+            products.clear()  # default_lambda's pass
+            sol = loire_solve(a, y, LoireConfig(lam=lam))
+            passes = sol.iterations + len(certificates) + (finishes[-1:] == [True])
+        tiles = len(linalg._tiles(y.shape))
+        print(f"\n{case}: {len(products)} tile products in {sol.iterations} steps, "
+              f"{tiles} tile(s) a pass, {len(certificates)} certificate pass(es)")
+        assert len(products) == passes * tiles
+        if case == "rank_deficient":  # the finish refuses before any certificate
+            assert len(products) == sol.iterations > 1 and certificates == []
+        if case.startswith("rrf"):
+            assert sol.iterations > 1 and tiles > 1
 
 
 def _conditioned(m, n, kappa, seed):
