@@ -36,6 +36,10 @@ REGRESS_METHODS = ("loire", "appbem", "ols", "lad", "oracle")
 REPORT_COLUMNS = ("method", "N", "seed", "lambda", "tol", "iterations", "DR", "Pre", "F",
                   "wall_time_s", "converged")
 
+# array entries per json.dumps call: 4096 wrote solution.json no faster and
+# held 0.65 MB of a chunk's Python numbers and text, against 0.17 MB here
+JSON_CHUNK = 1 << 10
+
 
 class UsageError(Exception):
     pass
@@ -190,6 +194,42 @@ def _settings():
         raise UsageError(str(exc)) from None
 
 
+def _dump(value, fh, pad: str = "") -> None:
+    """Write *value* to *fh* byte for byte as json.dumps(value, indent=2) lays
+    it out, with each 1-d ndarray given as its .tolist(); dict keys are str.
+
+    With indent set, json runs its pure-Python encoder.  Here each key, each
+    scalar and each JSON_CHUNK entries of an array go through json.dumps
+    without indent, whose C encoder writes numbers as the Python one does
+    (float.__repr__, NaN, Infinity); ", " occurs in no number, so replace
+    lays a chunk out one entry per line."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            fh.write((sep if i else "{\n" + inner) + json.dumps(key) + ": ")
+            _dump(item, fh, inner)
+        fh.write("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        for i, item in enumerate(value):
+            fh.write(sep if i else "[\n" + inner)
+            _dump(item, fh, inner)
+        fh.write("\n" + pad + "]")
+    elif isinstance(value, np.ndarray) and value.size:
+        for i in range(0, len(value), JSON_CHUNK):
+            text = json.dumps(value[i:i + JSON_CHUNK].tolist())[1:-1]
+            fh.write((sep if i else "[\n" + inner) + text.replace(", ", sep))
+        fh.write("\n" + pad + "]")
+    else:  # a scalar or an empty container
+        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+
+
+def _write_json(path: str, value) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        _dump(value, fh)
+        fh.write("\n")
+
+
 def _wall(t0: float, timing: str) -> float:
     return 0.0 if timing == "none" else time.perf_counter() - t0
 
@@ -203,27 +243,29 @@ def _warn_unconverged(sol, what: str, target: str | None = None) -> None:
 
 
 def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
-    """Run one regression method; returns the solution.json entry.  Its trace,
-    iterations and converged are those of the method's solve, and [], 1 and
-    true for ols and the oracle, which iterate none; gap is LAD's relative
-    duality gap, None for every other method."""
+    """Run one regression method; returns the solution.json entry.  Its x, b
+    and support are arrays (support as row indices), which _dump writes in
+    chunks; trace, iterations and converged are those of the method's solve,
+    and [], 1 and true for ols and the oracle, which iterate none; gap is
+    LAD's relative duality gap, None for every other method."""
     m = y.shape[0]
     t0 = time.perf_counter()
     run, target, gap = None, None, None
     if method == "loire":
         run = loire_solve(a, y, cfg)
         x, b = run.x, run.b
-        support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
+        support = np.flatnonzero(detect_support(b, zero_tol))
     elif method == "appbem":
         sol = app_bem(a, y, cfg, zero_tol)
-        x, b, run, support = sol.x, sol.b, sol.loire, list(sol.support)
+        x, b, run = sol.x, sol.b, sol.loire
+        support = np.array(sol.support, dtype=np.intp)
     elif method == "ols":
         x, b, support = least_squares_solve(a, y), np.zeros(m), []
     elif method == "lad":
         run = baseline_lad(a, y, max_iter=cfg.max_iter)
         x, b, gap = run.x, run.b, run.gap
         target = f"a vertex its dual proves optimal; (f - f*)/f <= {gap:.3g}"
-        support = np.flatnonzero(detect_support(b, zero_tol)).tolist()
+        support = np.flatnonzero(detect_support(b, zero_tol))
     elif method == "oracle":
         max_support = args.max_support if args.max_support is not None else m
         try:
@@ -238,13 +280,13 @@ def _regress_one(method: str, a, y, cfg: LoireConfig, zero_tol: float, args):
             t_radius = (1.05 * float(np.linalg.norm(y - a @ ref.x - ref.b))
                         + 1e-12 * float(np.linalg.norm(y)))
         sol = bernoulli_oracle(a, y, OracleConfig(t=t_radius, max_support=max_support))
-        x, b, support = sol.x, sol.b, list(sol.support)
+        x, b, support = sol.x, sol.b, np.array(sol.support, dtype=np.intp)
     if run is not None:
         _warn_unconverged(run, f"regress method={method}", target)
     return {
         "method": method,
-        "x": x.tolist(),
-        "b": b.tolist(),
+        "x": x,
+        "b": b,
         "support": support,
         "objective_trace": [] if run is None else run.objective_trace,
         "iterations": 1 if run is None else run.iterations,
@@ -276,9 +318,7 @@ def cmd_regress(args) -> int:
     entries = [_regress_one(m, a, y, cfg, zero_tol, args) for m in methods]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "solution.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"predictors": names, "methods": entries}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_path, {"predictors": names, "methods": entries})
     print(out_path)
     return EXIT_OK
 
@@ -373,9 +413,7 @@ def cmd_bgmodel(args) -> int:
         "wall_time_s": wall,
     }
     out_path = os.path.join(args.out, "timing.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(timing, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_path, timing)
     print(out_path)
     return EXIT_OK
 

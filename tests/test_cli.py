@@ -1,16 +1,21 @@
+import argparse
 import csv
 import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loire import (FactorizationConfig, FrameStack, LoireConfig, SimSpec, baseline_lad, cli,
-                   generate_sim, linalg, read_pgm, rrf_solve, write_pgm)
+                   default_zero_tol, generate_sim, linalg, read_pgm, rrf_solve, write_pgm)
 from loire.cli import REPORT_COLUMNS, _read_regression_csv, main
 
 
@@ -676,6 +681,113 @@ def test_simulate_report_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert run.returncode == 0, run.stderr
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
+
+
+def _as_lists(value):
+    """*value* with each ndarray given as its .tolist(), as json.dumps takes it."""
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _dumped(value):
+    fh = io.StringIO()
+    cli._dump(value, fh)
+    return fh.getvalue()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7, 0.1]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
+
+
+@st.composite
+def _arrays(draw):
+    """A 1-d float or int array whose length sits at a chunk boundary of the
+    writer, filled from a drawn seed with a few drawn floats planted in it."""
+    n = draw(st.sampled_from([0, 1, cli.JSON_CHUNK - 1, cli.JSON_CHUNK, cli.JSON_CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(-2**62, 2**62, size=n)
+    # magnitudes from subnormal to near overflow, and -0.0 where they underflow
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 300, size=n)
+    for v in draw(st.lists(FLOATS, max_size=4)) if n else []:
+        a[draw(st.integers(0, n - 1))] = v
+    return a
+
+
+JSON_VALUES = st.recursive(
+    SCALARS | _arrays(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=10)
+
+
+class TestJsonLayout:
+    @given(JSON_VALUES)
+    @example({"ключ": [*SPECIAL_FLOATS, -1, 0, True, False, None, "é\n\"", {}, [], ()],
+              "x": np.array(SPECIAL_FLOATS), "support": np.arange(3), "empty": np.zeros(0)})
+    @settings(deadline=None)
+    def test_dump_is_json_indent_2(self, value):
+        # an array's chunks are joined and laid out as json lays out its list
+        assert _dumped(value) == json.dumps(_as_lists(value), indent=2)
+
+    @pytest.mark.parametrize("timing", ["none", "wall"])
+    def test_cli_outputs_are_json_indent_2(self, tmp_path, timing):
+        # 12 rows of y = 1 + 2.5x with two gross outliers: few enough rows
+        # for the oracle; and a 3x3 square moving over 8 frames of 12x12
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 10, size=12)
+        y = 1.0 + 2.5 * x + rng.normal(0, 0.1, size=12)
+        y[[2, 9]] += [20.0, -15.0]
+        write_csv(tmp_path / "d.csv", ["x", "y"], list(zip(x, y)))
+        background = rng.integers(40, 120, size=(12, 12)).astype(np.uint8)
+        for j in range(8):
+            frame = background.copy()
+            frame[j:j + 3, j:j + 3] = 250
+            write_pgm(tmp_path / f"frame_{j:03d}.pgm", frame)
+        out = tmp_path / "out"
+        assert main(["regress", str(tmp_path / "d.csv"), "--target", "y", "--intercept",
+                     "--method", ",".join(cli.REGRESS_METHODS), "--timing", timing,
+                     "--out", str(out)]) == 0
+        assert main(["bgmodel", str(tmp_path / "frame_*.pgm"), "--timing", timing,
+                     "--out", str(out)]) == 0
+        for name in ("solution.json", "timing.json"):
+            data = (out / name).read_bytes()
+            assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+        assert [e["method"] for e in load_solution(out).values()] == list(cli.REGRESS_METHODS)
+
+    def test_regress_csv_scale_solution_without_python_lists(self, tmp_path, traced_peak):
+        # the regress-csv workload's shape: 50000 x 20, 5% gross outliers,
+        # appbem and lad.  Their b as Python lists held 100000 floats, 3.2 MB
+        # traced; the writer holds one chunk's numbers and text at a time
+        rng = np.random.default_rng(0)
+        m, n = 50000, 20
+        a = np.asfortranarray(rng.normal(size=(m, n)))
+        rows = rng.random(m) < 0.05
+        y = a @ rng.normal(size=n) + rng.normal(size=m) + np.where(
+            rows, rng.choice([-1.0, 1.0], size=m) * rng.uniform(10, 50, size=m), 0.0)
+        args = argparse.Namespace(timing="none", max_support=None, radius=None)
+        zero_tol = default_zero_tol(y)
+        value = {"predictors": [f"a{i}" for i in range(n)],
+                 "methods": [cli._regress_one(method, a, y, LoireConfig(), zero_tol, args)
+                             for method in ("appbem", "lad")]}
+        t0 = time.perf_counter()
+        cli._write_json(str(tmp_path / "new.json"), value)
+        new_s = time.perf_counter() - t0
+        _, peak = traced_peak(lambda: cli._write_json(str(tmp_path / "traced.json"), value))
+        listed = _as_lists(value)
+        t0 = time.perf_counter()
+        with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
+            json.dump(listed, fh, indent=2)
+            fh.write("\n")
+        old_s = time.perf_counter() - t0
+        print(f"\nsolution.json of appbem,lad on 50000x20: writer {new_s:.3f} s "
+              f"(traced peak {peak / 1e6:.2f} MB), json.dump(indent=2) {old_s:.3f} s")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert peak < 400_000
 
 
 class TestMiscCommands:

@@ -296,7 +296,11 @@ class TestAgainstRobustPca:
         # default lambda and at criterion 6's lambda = 1/0.003, and of IALM.
         # At 10% rrf recovers L to 2.1e-4 in 1939 steps; at 20% it stalls
         # near 0.2 at the cap and is printed, not asserted.  IALM recovers
-        # L to 1e-7 at both with one full SVD per step.  Times are printed
+        # L to 1e-7 at both with one full SVD per step.  Times are printed.
+        # One untimed solve first: with BLAS on 2 threads the first rrf_solve
+        # in a fresh process has taken 1 s for 0.1 s of work
+        warm = SimSpec(n=200, dense_noise_scale=0.0, spike_density=0.10, seed=1)
+        rrf_solve(generate_sim(warm).y, FactorizationConfig(rank=warm.rank))
         print("\ndensity  method            time_s  iterations  rel_err")
         for density, cap in [(0.10, 2500), (0.20, 2000)]:
             spec = SimSpec(n=200, dense_noise_scale=0.0, spike_density=density, seed=1)
