@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import (as_matrix, as_system, as_vector, check_zero_tol, clean_solve, is_count,
-                     range_factors)
+from .linalg import (as_matrix, as_system, as_vector, check_zero_tol, clean_solve, data_norm,
+                     is_count, range_factors)
 from .regression import LoireConfig, LoireSolution, _loire_solve
 
 ENUMERATION_CAP = 10**6
@@ -130,6 +130,7 @@ def bernoulli_oracle(a, y, cfg: OracleConfig) -> BemSolution:
     candidates.
     """
     a, y = as_system(a, y)
+    data_norm(y)  # every solve refuses y whose ||y||^2 over- or underflows
     m = y.shape[0]
     max_support = min(cfg.max_support, m)
     enumeration_count(m, max_support)

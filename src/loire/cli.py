@@ -45,10 +45,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through our exit-code contract."""
 
@@ -119,10 +115,11 @@ def build_parser() -> _Parser:
 
 
 def _read_regression_csv(path: str, target: str, intercept: bool):
-    """Parse the CSV into (A, y, predictor names); raises DataError with line numbers.
+    """Parse the CSV into (A, y, predictor names); raises ValueError with line numbers.
 
-    The data rows are parsed in bulk; when that fails or yields a non-finite
-    value they are read again row by row, which names the offending line.
+    The data rows are parsed in bulk by `np.loadtxt`, from its own handle;
+    when that fails or yields a non-finite value the header's reader goes on
+    row by row, which names the offending line.
     """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet programs write
@@ -131,13 +128,13 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
             try:
                 header = next(reader)
             except StopIteration:
-                raise DataError(f"{path}: empty file, header row required")
+                raise ValueError(f"{path}: empty file, header row required")
             header = [h.strip() for h in header]
             if len(set(header)) < len(header):
                 twice = next(h for i, h in enumerate(header) if h in header[:i])
-                raise DataError(f"{path}: column {twice!r} repeated in header {header}")
+                raise ValueError(f"{path}: column {twice!r} repeated in header {header}")
             if target not in header:
-                raise DataError(f"{path}: target column {target!r} not in header {header}")
+                raise ValueError(f"{path}: target column {target!r} not in header {header}")
             t_idx = header.index(target)
             try:
                 with warnings.catch_warnings():
@@ -147,12 +144,9 @@ def _read_regression_csv(path: str, target: str, intercept: bool):
             except (ValueError, UserWarning):
                 data = None
             if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
                 data = _read_rows(reader, path, len(header))
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
     y = data[:, t_idx].copy()  # a view would keep all of data alive through every solve
     names = [h for i, h in enumerate(header) if i != t_idx]
     if intercept or not names:
@@ -171,16 +165,16 @@ def _read_rows(reader, path: str, width: int) -> np.ndarray:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
             values = [float(c) for c in row]
         except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric field in {row}")
+            raise ValueError(f"{path}:{lineno}: non-numeric field in {row}")
         if not all(map(math.isfinite, values)):
-            raise DataError(f"{path}:{lineno}: non-finite field in {row}")
+            raise ValueError(f"{path}:{lineno}: non-finite field in {row}")
         rows.append(values)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return np.asarray(rows)
 
 
@@ -374,12 +368,12 @@ def cmd_bgmodel(args) -> int:
                                   max_iter=args.max_iter)
     paths = sorted(glob.glob(args.frames))
     if len(paths) < 2:
-        raise DataError(f"need at least 2 frames, glob {args.frames!r} matched {len(paths)}")
+        raise ValueError(f"need at least 2 frames, glob {args.frames!r} matched {len(paths)}")
     frames = [read_pgm(p) for p in paths]
     for p, fr in zip(paths, frames):
         if fr.shape != frames[0].shape:
-            raise DataError(f"{p}: frame shape {fr.shape} differs from {frames[0].shape} "
-                            f"of {paths[0]}")
+            raise ValueError(f"{p}: frame shape {fr.shape} differs from {frames[0].shape} "
+                             f"of {paths[0]}")
     stack = FrameStack.from_frames(frames)
     if cfg.rank > min(stack.matrix.shape):
         raise UsageError(f"--rank {args.rank} out of range for a "
@@ -440,7 +434,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError, OSError) as exc:  # PgmError is a ValueError
+    except (ValueError, OSError) as exc:  # PgmError is a ValueError
         print(f"loire: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # numpy's names the allocation it refused

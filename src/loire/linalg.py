@@ -278,13 +278,11 @@ def _tiles(shape: tuple[int, ...]):
 
 
 def _tile_product(factors, rows: slice, cols: slice, out: np.ndarray) -> None:
-    """out <- (left @ right)[rows, cols], column-major, for *factors* =
-    (left, right); a vector right gives the rows of a vector."""
+    """out <- (left @ right)[rows, cols], column-major, for *factors* = (left,
+    right), a vector right read as one column, by one BLAS call on the transpose."""
     left, right = factors
-    if right.ndim == 1:
-        np.matmul(left[rows], right, out=out)
-    else:  # through its transpose, so BLAS fills the column-major tile directly
-        np.matmul(right[:, cols].T, left[rows].T, out=out.reshape(cols.stop - cols.start, -1))
+    right = right.reshape(right.shape[0], -1)
+    np.matmul(right[:, cols].T, left[rows].T, out=out.reshape(cols.stop - cols.start, -1))
 
 
 def _residual(y: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
@@ -301,8 +299,8 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     """Alternate b <- shrink(y - P(y - b), 1/lam) from b = 0 until ||Δb|| <= tol.
 
     Besides y the loop holds one array of y's layout and two tiles of at
-    most TILE elements, a product and a shrink.  The array holds b after
-    each step and M = y - b, formed in place, while the next step projects:
+    most TILE elements, a product and a shrink.  The array holds b, from 0
+    on, and M = y - b, formed in place atop each step, while it projects:
     *project(M)* returns factors (left, right) with P(M) = left @ right and
     writes nothing of y's size.  Each sweep forms P(M) tile by tile on the
     grid of `_tiles` and shrinks each tile as soon as it is formed: b =
@@ -325,7 +323,7 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
     norm = data_norm(y)
     tol = cfg.tol if cfg.tol is not None else cfg.REL_TOL * norm
     lam = cfg.lam
-    m_arr = y.copy(order="K")  # M = y - b at b = 0; "K" keeps y's layout, so the flat views align
+    m_arr = np.zeros_like(y)  # b = 0; y's layout, so the flat views align
     y_flat, m_flat = y.ravel(order="K"), m_arr.ravel(order="K")
     tiles = _tiles(y.shape)
     prod, shrunk = np.empty(tiles[0][1]), np.empty(tiles[0][1])  # the first tile is the largest
@@ -354,8 +352,7 @@ def _shrink_project(y: np.ndarray, project, cfg, finish=None) -> ShrinkRun:
 
     trace: list[float] = []
     for it in range(1, cfg.max_iter + 1):
-        if it > 1:
-            np.subtract(y, m_arr, out=m_arr)  # M = y - b
+        np.subtract(y, m_arr, out=m_arr)  # M = y - b
         factors = project(m_arr)
         if lam is None:
             lam = _mad_lambda(y, factors, m_arr)

@@ -166,7 +166,7 @@ class TestRegress:
         "x,y\n1,2\n\n , \n3,4.5\n",          # blank rows: row-by-row read
         'x,y\n"1",2\n3,"4.5"\n',
         "\ufeffx,y\n1,2\n3,4.5\n",         # a byte-order mark: bulk parse
-        "\ufeffx,y\n1,2\n\n3,4.5\n",       # and the row-by-row read after seek(0)
+        "\ufeffx,y\n1,2\n\n3,4.5\n",       # and the row-by-row read after the header
     ])
     def test_csv_layouts_read_alike(self, tmp_path, text):
         path = tmp_path / "layout.csv"

@@ -149,21 +149,6 @@ class TestShrinkSweep:
                                    y - left @ right, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.5, None])
-    def test_rrf_solve_holds_two_full_size_arrays(self, lam, traced_peak):
-        # besides y, the loop's one array of y's size and its product and
-        # shrink tiles, and the rank-1 step's m-vectors and 100 x 100 start
-        # Gram within the 10% slack.  A tall input like a frame stack: a
-        # square one's Gram start alone holds two arrays of y's size.
-        # lam=None also bounds the first step's medians, which take the
-        # loop's array
-        y = _low_rank_plus_spikes(1600, 100, 2)
-        assert y.size > linalg.TILE
-        cfg = FactorizationConfig(rank=1, lam=lam, max_iter=20)
-        sol, peak = traced_peak(lambda: rrf_solve(y, cfg))
-        assert sol.iterations > 1
-        assert peak <= 1.1 * (2 * y.nbytes + linalg.TILE * y.itemsize)
-
-    @pytest.mark.parametrize("lam", [0.5, None])
     def test_rrf_solve_holds_one_full_size_array(self, lam, traced_peak):
         # one array besides y, B after each sweep and Y - B while the next
         # step projects: each product tile of A X is formed in one tile of

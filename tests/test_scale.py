@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from loire import (FactorizationConfig, LoireConfig, SimSpec, app_bem, baseline_lad,
-                   default_lambda, default_zero_tol,
+from loire import (FactorizationConfig, LoireConfig, OracleConfig, SimSpec, app_bem,
+                   baseline_lad, bernoulli_oracle, default_lambda, default_zero_tol,
                    detect_support, generate_sim, loire_solve, rrf_solve)
 from loire.cli import main as cli_main
 
@@ -199,7 +199,9 @@ class TestDegenerateInputs:
         for solve in (lambda: loire_solve(a, s * y, LoireConfig()),
                       lambda: loire_solve(a, s * y, LoireConfig(lam=1.0, tol=1.0)),
                       lambda: baseline_lad(a, s * y),
-                      lambda: rrf_solve(s * y_mat, FactorizationConfig(rank=2))):
+                      lambda: rrf_solve(s * y_mat, FactorizationConfig(rank=2)),
+                      lambda: bernoulli_oracle(a[:8], s * y[:8],
+                                               OracleConfig(t=s, max_support=1))):
             with pytest.raises(ValueError, match="overflow or underflow"):
                 solve()
 
